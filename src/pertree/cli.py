@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -88,7 +89,7 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
+def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset flags from the JSON config; explicit flags win."""
     if not getattr(args, "config", None):
         return
@@ -138,7 +139,9 @@ def _parse_grid(text: str) -> list[float]:
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
-        raise SystemExit(USAGE_EXIT) from exc
+        raise ValueError(f"bad grid {text!r}: expected start:stop:step") from exc
+    if not (math.isfinite(start) and math.isfinite(stop) and step > 0):
+        raise ValueError(f"bad grid {text!r}: needs finite bounds and a step > 0")
     grid = []
     value = start
     while value <= stop + 1e-12 * max(1.0, abs(stop)):
@@ -196,7 +199,7 @@ def cmd_table(args) -> int:
 def cmd_predict(args) -> int:
     parts = args.degrees.split(",")
     if "n" not in parts:
-        raise SystemExit(USAGE_EXIT)
+        raise ValueError(f"--degrees {args.degrees!r} has no 'n' slot, e.g. 1,n")
     n_values = [int(v) for v in _parse_grid(args.n_range)]
     rows = []
     for n in n_values:
@@ -310,7 +313,7 @@ def cmd_oracle(args) -> int:
         payload = {"degrees": str(seq), "residue": args.residue,
                    "two_n": args.two_n, "count": count}
     else:
-        raise SystemExit(USAGE_EXIT)
+        raise ValueError("oracle needs --star-n, --edges or --enumerate-degrees")
     _emit(json.dumps(payload, indent=2) + "\n", args.out, _manifest(args))
     return 0
 
@@ -440,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     defaults = args._defaults_map.get(args.subcommand, {})
     try:
-        _merge_config(args, defaults)
+        _merge_config(args)
         _apply_defaults(args, defaults)
         return args.func(args)
     except _CAPACITY_ERRORS as exc:

@@ -6,12 +6,19 @@ the next event time is exponential in the total rate, and transmissions
 pick a uniform incident edge.  Transmissions onto occupied vertices are
 no-ops, which keeps the chain exact without boundary-rate bookkeeping.
 
+A vertex's degree depends only on its height residue, so the k residue
+classes of the period share k rates.  Each event draws a class by its total
+rate and then a uniform member of it, at O(k) cost whatever the size of the
+active set (the rejection-free case of composition-rejection sampling).
+Random draws come from the replica's own stream in blocks.
+
 Two vectorized batch engines (star chain, explicit small graphs) serve the
 oracle cross-checks, where 1e5 replicas must finish in seconds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -46,7 +53,9 @@ class SimConfig:
     brw_population_cap: int = DEFAULT_BRW_POP_CAP
 
     def __post_init__(self):
-        if self.horizon <= 0:
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lambda must be finite and >= 0")
+        if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if self.replicas < 1 or self.max_events < 1 or self.max_vertices < 1:
             raise ValueError("replicas and caps must be >= 1")
@@ -115,57 +124,52 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
-# Contact process on the lazily grown tree
+# Tree engines: event selection by height-residue class
+#
+# A site at height residue c has graph degree g_c + 1 and total rate
+# r_c = 1 + lam * (g_c + 1), so all sites of one class share one rate.  An
+# event picks a class with weight n_c * r_c by a scan over the k classes,
+# then a uniform member of that class from a swap-remove list, so its cost
+# does not grow with the active set.  The total rate sum_c n_c * r_c equals
+# n + lam * D and is recomputed every event from two exact integer counts:
+# n sites (vertices or particles) and D, the sum of their graph degrees.
+
+# Draws per block.  The first block is small, so a replica that dies after a
+# few events draws little that it never uses; later blocks double up to the cap.
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 4096
 
 
-class _RateTable:
-    """Growable parallel arrays (vertex id, children count, rate) plus an
-    id -> slot index.  Rate-proportional sampling runs through a numpy
-    cumulative sum, so an event costs C-speed O(n) even when thousands of
-    vertices are active."""
+def _event_draws(rng: np.random.Generator):
+    """Endless (exponential, uniform, uniform) triples from ``rng``, one per event."""
+    def blocks():
+        size = _FIRST_BLOCK
+        while True:
+            u = rng.random((2, size)).tolist()
+            yield zip(rng.standard_exponential(size).tolist(), u[0], u[1])
+            size = min(2 * size, _MAX_BLOCK)
+    return itertools.chain.from_iterable(blocks())
 
-    def __init__(self, cap: int = 64):
-        self.ids = np.empty(cap, dtype=np.int64)
-        self.degs = np.empty(cap, dtype=np.int64)
-        self.counts = np.empty(cap, dtype=np.int64)   # particles per site (BRW)
-        self.rates = np.empty(cap)
-        self.pos: dict[int, int] = {}
-        self.m = 0
 
-    def _grow(self) -> None:
-        cap = 2 * len(self.ids)
-        for name in ("ids", "degs", "counts", "rates"):
-            buf = getattr(self, name)
-            new = np.empty(cap, dtype=buf.dtype)
-            new[:self.m] = buf[:self.m]
-            setattr(self, name, new)
+def _class_rates(config: SimConfig) -> tuple[list[int], list[float]]:
+    """Graph degree g_c + 1 and site rate r_c of each height residue c."""
+    degs = [g + 1 for g in config.degrees.degrees]
+    return degs, [1.0 + config.lam * d for d in degs]
 
-    def add(self, vid: int, deg: int, rate: float, count: int = 1) -> None:
-        if self.m == len(self.ids):
-            self._grow()
-        self.ids[self.m] = vid
-        self.degs[self.m] = deg
-        self.counts[self.m] = count
-        self.rates[self.m] = rate
-        self.pos[vid] = self.m
-        self.m += 1
 
-    def remove(self, i: int) -> None:
-        last = self.m - 1
-        del self.pos[int(self.ids[i])]
-        if i != last:
-            self.ids[i] = self.ids[last]
-            self.degs[i] = self.degs[last]
-            self.counts[i] = self.counts[last]
-            self.rates[i] = self.rates[last]
-            self.pos[int(self.ids[i])] = i
-        self.m = last
-
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.rates[:self.m])
-
-    def sample(self, cum: np.ndarray, u: float) -> int:
-        return min(int(np.searchsorted(cum, u, side="right")), self.m - 1)
+def _audit_contact(arena: TreeArena, members: list[list[int]],
+                   pos: dict[int, int], lam: float, total: float) -> None:
+    """Check the class lists against the arena, the index map, and the total
+    rate against one recomputed from the class counts."""
+    k = len(members)
+    scratch = 0.0
+    for c, m in enumerate(members):
+        assert [pos[v] for v in m] == list(range(len(m)))
+        heights = set(map(arena.heights.__getitem__, m))
+        assert all((arena.root_residue + h) % k == c for h in heights)
+        scratch += len(m) * (1.0 + lam * (arena.degree_seq.degrees[c] + 1))
+    assert len(pos) == sum(map(len, members))
+    assert math.isclose(total, scratch, rel_tol=1e-12)
 
 
 def run_contact(config: SimConfig, replica: int = 0, substream: int = 0,
@@ -173,11 +177,16 @@ def run_contact(config: SimConfig, replica: int = 0, substream: int = 0,
     """One exact contact-process trajectory started from the infected root."""
     rng = stream(config.seed, replica, substream)
     arena = TreeArena(config.degrees, config.root_residue, config.max_vertices)
-    lam = config.lam
-    root = arena.root
-
-    table = _RateTable()
-    table.add(root, arena.graph_degree(root), 1.0 + lam * arena.graph_degree(root))
+    neighbor = arena.neighbor
+    lam, horizon, max_events = config.lam, config.horizon, config.max_events
+    degs, rates = _class_rates(config)
+    k = len(degs)
+    classes = range(k)
+    root, rc = arena.root, arena.root_residue
+    members: list[list[int]] = [[] for _ in classes]   # infected ids by class
+    members[rc].append(root)
+    pos = {root: 0}                # infected id -> index in its class list
+    degree_sum = degs[rc]
 
     t = 0.0
     visits = [0.0]
@@ -185,46 +194,66 @@ def run_contact(config: SimConfig, replica: int = 0, substream: int = 0,
     events = 0
     trunc: str | None = None
 
-    while table.m:
-        if events >= config.max_events:
+    for e, u, a in _event_draws(rng):
+        if events >= max_events:
             trunc = "event_cap"
             break
-        cum = table.cumulative()
-        total = cum[-1]
-        dt = rng.standard_exponential() / total
-        if t + dt >= config.horizon:
-            t = config.horizon
+        total = len(pos) + lam * degree_sum
+        t += e / total
+        if t >= horizon:
+            t = horizon
             break
-        t += dt
         events += 1
-        # Pick the acting vertex proportionally to its rate.
-        i = table.sample(cum, rng.random() * total)
-        v = int(table.ids[i])
-        deg = int(table.degs[i])
-        if rng.random() * table.rates[i] < 1.0:
-            table.remove(i)
+        x = u * total
+        for c in classes:
+            m = members[c]
+            w = len(m) * rates[c]
+            if x < w:
+                break
+            x -= w
+        else:   # rounding carried x past the last weight
+            c = max(c for c in classes if members[c])
+            m = members[c]
+        r = rates[c]
+        # x is uniform on [0, n_c * r_c), so x / r_c picks a uniform member.
+        i = int(x / r)
+        if i >= len(m):
+            i = len(m) - 1
+        v = m[i]
+        y = a * r
+        if y < 1.0:
+            last = m.pop()
+            if last != v:
+                m[i] = last
+                pos[last] = i
+            del pos[v]
+            degree_sum -= degs[c]
+            if not pos:
+                break
         else:
-            slot = int(rng.integers(deg))
+            # y is uniform on [1, r_c): lam-wide slices pick the edge.
+            slot = int((y - 1.0) / lam)
+            if slot >= degs[c]:
+                slot = degs[c] - 1
             try:
-                w = arena.neighbor(v, slot)
+                w = neighbor(v, slot)
             except CapacityExceeded:
                 trunc = "vertex_cap"
                 break
-            if w not in table.pos:
-                wdeg = arena.graph_degree(w)
-                table.add(w, wdeg, 1.0 + lam * wdeg)
+            if w not in pos:
+                cw = (c + 1) % k if slot else (c - 1) % k
+                mw = members[cw]
+                pos[w] = len(mw)
+                mw.append(w)
+                degree_sum += degs[cw]
                 if w == root:
                     visits.append(t)
-                if table.m > peak:
-                    peak = table.m
+                if len(pos) > peak:
+                    peak = len(pos)
         if audit:
-            assert table.m == len(table.pos)
-            assert all(table.pos[int(x)] == idx
-                       for idx, x in enumerate(table.ids[:table.m]))
-            expected = 1.0 + lam * table.degs[:table.m]
-            assert np.allclose(table.rates[:table.m], expected)
+            _audit_contact(arena, members, pos, lam, len(pos) + lam * degree_sum)
 
-    extinct = table.m == 0 and trunc is None
+    extinct = not pos and trunc is None
     return SimOutcome(extinct, t if extinct else None, visits, peak, events,
                       trunc is not None, trunc)
 
@@ -237,13 +266,18 @@ def run_brw(config: SimConfig, replica: int = 0, substream: int = 0) -> SimOutco
     """One branching-random-walk trajectory started from one particle at the root."""
     rng = stream(config.seed, replica, substream)
     arena = TreeArena(config.degrees, config.root_residue, config.max_vertices)
-    lam = config.lam
-    root = arena.root
-
-    table = _RateTable()
-    root_deg = arena.graph_degree(root)
-    table.add(root, root_deg, 1.0 + lam * root_deg)
+    neighbor = arena.neighbor
+    lam, horizon, max_events = config.lam, config.horizon, config.max_events
+    cap = config.brw_population_cap
+    degs, rates = _class_rates(config)
+    k = len(degs)
+    classes = range(k)
+    root, rc = arena.root, arena.root_residue
+    # One entry per particle, the id of the vertex it sits on, by class.
+    members: list[list[int]] = [[] for _ in classes]
+    members[rc].append(root)
     population = 1
+    degree_sum = degs[rc]
 
     t = 0.0
     visits = [0.0]
@@ -251,53 +285,57 @@ def run_brw(config: SimConfig, replica: int = 0, substream: int = 0) -> SimOutco
     events = 0
     trunc: str | None = None
 
-    def add_particle(w: int) -> None:
-        nonlocal population
-        if w in table.pos:
-            i = table.pos[w]
-            table.counts[i] += 1
-            table.rates[i] += 1.0 + lam * table.degs[i]
-        else:
-            wdeg = arena.graph_degree(w)
-            table.add(w, wdeg, 1.0 + lam * wdeg)
-        population += 1
-
-    while population:
-        if events >= config.max_events:
+    for e, u, a in _event_draws(rng):
+        if events >= max_events:
             trunc = "event_cap"
             break
-        cum = table.cumulative()
-        total = cum[-1]
-        dt = rng.standard_exponential() / total
-        if t + dt >= config.horizon:
-            t = config.horizon
+        total = population + lam * degree_sum
+        t += e / total
+        if t >= horizon:
+            t = horizon
             break
-        t += dt
         events += 1
-        i = table.sample(cum, rng.random() * total)
-        v = int(table.ids[i])
-        deg = int(table.degs[i])
-        per = 1.0 + lam * deg
-        if rng.random() * per < 1.0:
-            # One particle at v dies.
-            table.counts[i] -= 1
-            table.rates[i] -= per
+        x = u * total
+        for c in classes:
+            m = members[c]
+            w = len(m) * rates[c]
+            if x < w:
+                break
+            x -= w
+        else:   # rounding carried x past the last weight
+            c = max(c for c in classes if members[c])
+            m = members[c]
+        r = rates[c]
+        i = int(x / r)
+        if i >= len(m):
+            i = len(m) - 1
+        y = a * r
+        if y < 1.0:
+            last = m.pop()
+            if i < len(m):
+                m[i] = last
             population -= 1
-            if table.counts[i] == 0:
-                table.remove(i)
+            degree_sum -= degs[c]
+            if not population:
+                break
         else:
-            slot = int(rng.integers(deg))
+            slot = int((y - 1.0) / lam)
+            if slot >= degs[c]:
+                slot = degs[c] - 1
             try:
-                w = arena.neighbor(v, slot)
+                w = neighbor(m[i], slot)
             except CapacityExceeded:
                 trunc = "vertex_cap"
                 break
-            add_particle(w)
+            cw = (c + 1) % k if slot else (c - 1) % k
+            members[cw].append(w)
+            population += 1
+            degree_sum += degs[cw]
             if w == root:
                 visits.append(t)
             if population > peak:
                 peak = population
-            if population >= config.brw_population_cap:
+            if population >= cap:
                 trunc = "population_cap"
                 break
 
@@ -454,11 +492,12 @@ def _replica_chunk(config: SimConfig, lo: int, hi: int, substream: int):
 
 
 def worker_count() -> int:
-    """Replica-parallel worker cap: CP_THREADS env var, default 1."""
+    """Replica-parallel workers: CP_THREADS env var, default 1, at most the core count."""
     try:
-        return max(1, int(os.environ.get("CP_THREADS", "1")))
+        requested = int(os.environ.get("CP_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def run_replicas(config: SimConfig, substream: int = 0) -> list[SimOutcome]:

@@ -180,6 +180,26 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_bad_grid_is_a_usage_error(capsys):
+    for grid in ("0.1:0.2:0", "0.1:0.2:-0.1", "0.1:0.2", "0.1:x:0.1",
+                 "0.1:inf:0.1", "0.1:0.2:nan"):
+        assert main(["sweep", "--degrees", "3,4", "--lambda-grid", grid,
+                     "--horizon", "5"]) == 1, grid
+        assert "usage error: bad grid" in capsys.readouterr().err
+    assert main(["predict", "--degrees", "1,n", "--n-range", "1:5:0"]) == 1
+    assert "usage error: bad grid" in capsys.readouterr().err
+
+
+def test_predict_without_n_slot_is_a_usage_error(capsys):
+    assert main(["predict", "--degrees", "1,5", "--n-range", "1:1:1"]) == 1
+    assert "no 'n' slot" in capsys.readouterr().err
+
+
+def test_oracle_without_mode_is_a_usage_error(capsys):
+    assert main(["oracle", "--lambda", "0.5"]) == 1
+    assert "usage error: oracle needs" in capsys.readouterr().err
+
+
 def test_numerical_exit_code(capsys):
     # period-2 weights do not exist above the bound; InvalidShape from predict
     assert main(["predict", "--degrees", "5,n", "--n-range", "1:1:1"]) == 2

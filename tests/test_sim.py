@@ -1,11 +1,13 @@
 """Simulation engines: determinism, exactness spot checks, thresholds."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from pertree.bounds import lambda2_asymptotic
+from pertree.bounds import lambda2_asymptotic, lambda_g
 from pertree.degrees import PeriodicDegreeSequence
 from pertree.errors import BracketFailure
 from pertree.oracle import exact_contact_small, star_mean_absorption
@@ -22,6 +24,7 @@ from pertree.sim import (
     star_batch,
     survival_curve,
     wilson_interval,
+    worker_count,
 )
 
 
@@ -74,6 +77,17 @@ def test_run_replicas_parallel_matches_serial(monkeypatch):
     assert parallel == serial
 
 
+def test_worker_count_capped_at_core_count(monkeypatch):
+    monkeypatch.setenv("CP_THREADS", "100000")
+    assert worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+    monkeypatch.setenv("CP_THREADS", "0")
+    assert worker_count() == 1
+
+
 # ---------------------------------------------------------------------------
 # Single-particle exactness (lambda = 0)
 
@@ -93,6 +107,44 @@ def test_brw_lambda0_mean_lifetime():
     mean = float(np.mean(times))
     se = float(np.std(times)) / math.sqrt(len(times))
     assert abs(mean - 1.0) <= 3 * se
+
+
+def brw_mean_events(degs, lam, horizon, root_residue=0):
+    """Exact mean BRW event count before the horizon.
+
+    The mean particle count by height residue evolves as e_r^T exp(sQ),
+    Q = lam*B - I, where B moves a particle down one residue with weight 1
+    and up one with weight g; events happen at rate 1 + lam*(g+1) per
+    particle.  The top-right block of exp([[Q, I], [0, 0]] t) is the time
+    integral of exp(sQ) over [0, t].
+    """
+    k = len(degs)
+    b = np.zeros((k, k))
+    for r, g in enumerate(degs):
+        b[r, (r - 1) % k] += 1
+        b[r, (r + 1) % k] += g
+    q = lam * b - np.eye(k)
+    block = np.zeros((2 * k, 2 * k))
+    block[:k, :k] = q
+    block[:k, k:] = np.eye(k)
+    integral = expm(block * horizon)[:k, k:]
+    rates = 1.0 + lam * (np.array(degs) + 1.0)
+    return float(integral[root_residue % k] @ rates)
+
+
+@pytest.mark.parametrize("degs,root_residue", [
+    ((3,), 0), ((3, 4), 0), ((2, 3, 4), 0), ((2, 3, 4), 1)])
+def test_brw_mean_events_matches_closed_form(degs, root_residue):
+    # lambda > 0 exercises every class rate; the caps never bind
+    lam = 0.9 * lambda_g(seq(*degs))
+    c = config(degrees=seq(*degs), mode="brw", lam=lam, horizon=8.0,
+               root_residue=root_residue, replicas=60_000, seed=31)
+    outcomes = run_replicas(c)
+    assert not any(o.truncated for o in outcomes)
+    events = np.array([o.events for o in outcomes], dtype=float)
+    se = float(events.std()) / math.sqrt(events.size)
+    exact = brw_mean_events(degs, lam, 8.0, root_residue)
+    assert abs(float(events.mean()) - exact) <= 3 * se
 
 
 def test_star_lambda0_mean_lifetime():
@@ -288,3 +340,19 @@ def test_config_validation():
         config(replicas=0)
     with pytest.raises(ValueError):
         config(mode="sir")
+
+
+def test_config_rejects_negative_lambda():
+    with pytest.raises(ValueError):
+        config(lam=-0.1)
+
+
+def test_config_rejects_nonfinite_lambda():
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            config(lam=lam)
+
+
+def test_config_rejects_nan_horizon():
+    with pytest.raises(ValueError):
+        config(horizon=math.nan)
