@@ -40,7 +40,7 @@ from .sim import (
     run_star,
     survival_curve,
 )
-from .tree import TreeArena, VertexRef
+from .tree import TreeArena
 from .walks import WalkCountTable, closed_walk_count, level_return_count, m0_estimates
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "StarState",
     "SurvivalEstimate",
     "TreeArena",
-    "VertexRef",
     "WalkCountTable",
     "bounds_report",
     "closed_walk_count",

@@ -90,7 +90,10 @@ def _now() -> str:
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config; explicit flags win."""
+    """Fill unset flags from the JSON config; explicit flags win.
+
+    A value goes through its option's type and choices, as on the command line.
+    """
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
@@ -98,6 +101,15 @@ def _merge_config(args: argparse.Namespace) -> None:
     for key, value in loaded.items():
         attr = key.replace("-", "_")
         if hasattr(args, attr) and getattr(args, attr) is None:
+            action = args._options.get(attr)
+            if action is not None and value is not None:
+                try:
+                    value = (action.type or str)(str(value))
+                except ValueError as exc:
+                    raise ValueError(f"config {key!r}: {exc}") from exc
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"config {key!r}: {value!r} is not one of "
+                                     + ", ".join(map(str, action.choices)))
             setattr(args, attr, value)
 
 
@@ -434,6 +446,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_oracle)
     defaults["oracle"] = {}
 
+    for sub in subs.choices.values():
+        sub.set_defaults(_options={a.dest: a for a in sub._actions})
     parser.set_defaults(_defaults_map=defaults)
     return parser
 

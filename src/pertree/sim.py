@@ -359,8 +359,8 @@ def run_star(n: int, lam: float, init: StarState, stop: str = "absorb",
     """
     if stop == "reach" and level is None:
         raise ValueError("stop='reach' needs a level")
-    if stop == "horizon" and horizon is None:
-        raise ValueError("stop='horizon' needs a horizon")
+    if stop == "horizon" and not (horizon is not None and horizon > 0):
+        raise ValueError("stop='horizon' needs a positive horizon")
     rng = stream(seed, replica)
     j, m = init.j, init.center
     t = 0.0

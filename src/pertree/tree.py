@@ -1,28 +1,19 @@
 """Lazily materialized bi-infinite periodic tree.
 
 The tree is realized as a downward-growing ancestor spine plus
-upward-growing subtrees.  Vertices live in a flat arena; ids are stable
-and growth is monotone.  A hard vertex cap turns runaway growth into an
-explicit :class:`~pertree.errors.CapacityExceeded` instead of unbounded
-memory use.
+upward-growing subtrees.  A vertex's edges are numbered by slot: slot 0
+leads to its parent and slots 1..g to its children, and a child is found
+by its (parent, slot) address in one map.  A vertex is created only when an
+edge to it is first crossed, so untouched siblings never exist.  Vertices
+live in a flat arena; ids are stable and growth is monotone.  A hard cap on
+the number of touched vertices turns runaway growth into an explicit
+:class:`~pertree.errors.CapacityExceeded` instead of unbounded memory use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .degrees import PeriodicDegreeSequence, degree_at
+from .degrees import PeriodicDegreeSequence
 from .errors import CapacityExceeded
-
-
-@dataclass
-class VertexRef:
-    """Snapshot view of one arena vertex."""
-
-    id: int
-    height: int
-    parent: int | None
-    children: list[int] | None
 
 
 class TreeArena:
@@ -39,44 +30,34 @@ class TreeArena:
         self.degree_seq = degree_seq
         self.root_residue = root_residue % degree_seq.period
         self.max_vertices = max_vertices
+        self._degrees, self._period = degree_seq.degrees, degree_seq.period
         self.heights: list[int] = []
         self.parents: list[int | None] = []
-        self.children: list[list[int] | None] = []
+        self.slots: dict[tuple[int, int], int] = {}   # (parent, slot) -> child
+        self._child_lists: dict[int, list[int]] = {}
         self.root = self._new_vertex(0, None)
         self.spine_bottom = self.root
 
     def __len__(self) -> int:
         return len(self.heights)
 
-    def vertex(self, vid: int) -> VertexRef:
-        return VertexRef(vid, self.heights[vid], self.parents[vid], self.children[vid])
-
     def children_count(self, vid: int) -> int:
         """Children slots of a vertex (g of its height residue)."""
-        return degree_at(self.degree_seq, self.root_residue + self.heights[vid])
-
-    def graph_degree(self, vid: int) -> int:
-        return self.children_count(vid) + 1
+        return self._degrees[(self.root_residue + self.heights[vid]) % self._period]
 
     def _new_vertex(self, height: int, parent: int | None) -> int:
         if len(self.heights) >= self.max_vertices:
             raise CapacityExceeded(f"vertex cap {self.max_vertices} reached")
         self.heights.append(height)
         self.parents.append(parent)
-        self.children.append(None)
         return len(self.heights) - 1
 
     def materialize_children(self, vid: int) -> list[int]:
-        """Ensure the children of ``vid`` exist; idempotent."""
-        kids = self.children[vid]
-        if kids is not None:
-            return kids
-        h = self.heights[vid]
-        n_kids = self.children_count(vid)
-        if len(self.heights) + n_kids > self.max_vertices:
-            raise CapacityExceeded(f"vertex cap {self.max_vertices} reached")
-        kids = [self._new_vertex(h + 1, vid) for _ in range(n_kids)]
-        self.children[vid] = kids
+        """All children of ``vid`` in slot order, creating missing ones; idempotent."""
+        kids = self._child_lists.get(vid)
+        if kids is None:
+            kids = [self.neighbor(vid, s) for s in range(1, self.children_count(vid) + 1)]
+            self._child_lists[vid] = kids
         return kids
 
     def materialize_parent(self, vid: int) -> int:
@@ -86,20 +67,24 @@ class TreeArena:
             return parent
         if vid != self.spine_bottom:
             raise ValueError(f"vertex {vid} has no parent and is not the spine bottom")
-        h = self.heights[vid]
-        n_kids = degree_at(self.degree_seq, self.root_residue + h - 1)
-        if len(self.heights) + n_kids > self.max_vertices:
-            raise CapacityExceeded(f"vertex cap {self.max_vertices} reached")
-        parent = self._new_vertex(h - 1, None)
-        # The spine child plus g-1 fresh siblings fill the child slots.
-        siblings = [self._new_vertex(h, parent) for _ in range(n_kids - 1)]
-        self.children[parent] = [vid] + siblings
+        parent = self._new_vertex(self.heights[vid] - 1, None)
+        # The old spine bottom takes the parent's first child slot.
+        self.slots[parent, 1] = vid
         self.parents[vid] = parent
         self.spine_bottom = parent
         return parent
 
     def neighbor(self, vid: int, slot: int) -> int:
-        """Incident edge endpoint by slot: 0 is the parent, 1..g the children."""
+        """Incident edge endpoint by slot: 0 is the parent, 1..g the children.
+
+        A child is created the first time its slot is touched.
+        """
         if slot == 0:
             return self.materialize_parent(vid)
-        return self.materialize_children(vid)[slot - 1]
+        child = self.slots.get((vid, slot))
+        if child is None:
+            if not 0 < slot <= self.children_count(vid):
+                raise IndexError(f"vertex {vid} has no child slot {slot}")
+            child = self._new_vertex(self.heights[vid] + 1, vid)
+            self.slots[vid, slot] = child
+        return child

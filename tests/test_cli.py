@@ -171,6 +171,28 @@ def test_config_file_merge(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_config_values_take_option_types(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    base = {"degrees": "3,4", "horizon": 5, "replicas": "2", "seed": 3}
+    cfg.write_text(json.dumps(dict(base, lam="0.3")))
+    code, out = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["lambda"] == 0.3
+    for bad in ({"lam": "x"}, {"lam": [0.3]}, {"lam": True},
+                {"lam": 0.3, "replicas": 2.5}, {"lam": 0.3, "mode": "walk"}):
+        cfg.write_text(json.dumps(dict(base, **bad)))
+        assert main(["simulate", "--config", str(cfg)]) == 1, bad
+        assert "usage error: config" in capsys.readouterr().err
+
+
+def test_star_bad_horizon_is_a_usage_error(capsys):
+    for horizon in ("-1", "0", "nan"):
+        assert main(["star", "--n", "5", "--lambda", "0.5", "--stop", "horizon",
+                     "--horizon", horizon]) == 1, horizon
+        assert "usage error: stop='horizon' needs a positive horizon" \
+            in capsys.readouterr().err
+
+
 def test_usage_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds"])                               # missing --degrees

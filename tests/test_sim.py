@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from pertree.bounds import lambda2_asymptotic, lambda_g
 from pertree.degrees import PeriodicDegreeSequence
 from pertree.errors import BracketFailure
+from pertree import sim
 from pertree.oracle import exact_contact_small, star_mean_absorption
 from pertree.sim import (
     Lambda2Protocol,
@@ -159,11 +160,57 @@ def test_star_lambda0_mean_lifetime():
 # Audit mode and outcome bookkeeping
 
 
-def test_contact_audit_mode():
-    c = config(lam=0.5, horizon=15.0, seed=3)
+def test_contact_audit_mode(monkeypatch):
+    seen = {"swaps": 0, "classes": 0, "min_height": 0, "prev": None}
+    audit = sim._audit_contact
+
+    def recording_audit(arena, members, pos, lam, total):
+        audit(arena, members, pos, lam, total)
+        prev = seen["prev"]
+        if prev is not None:
+            # a death of a non-last member moves the last one into its place
+            seen["swaps"] += sum(len(m) == len(p) - 1 and m != p[:-1]
+                                 for p, m in zip(prev, members))
+        seen["prev"] = [list(m) for m in members]
+        seen["classes"] = max(seen["classes"], sum(1 for m in members if m))
+        seen["min_height"] = min(arena.heights)
+
+    monkeypatch.setattr(sim, "_audit_contact", recording_audit)
+    c = config(lam=0.5, horizon=8.0, seed=3)
     outcome = run_contact(c, audit=True)
     assert outcome.peak_infected >= 1
     assert outcome.root_visit_times == sorted(outcome.root_visit_times)
+    # the audited paths: swap-remove deaths, spine growth, root revisits
+    assert seen["swaps"] >= 1
+    assert seen["min_height"] < 0
+    assert len(outcome.root_visit_times) >= 2
+    assert seen["classes"] == 2
+
+
+# Fixed-seed outcomes of the tree engines: (events, peak, extinction time,
+# root visits, truncation reason).  They were recorded with the eagerly
+# materialized tree; any change to stream consumption or to the tree's
+# logical shape moves them.
+GOLDEN_OUTCOMES = [
+    ("contact", (1, 100), 0.13, 10.0, 7, 4, (3000, 625, None, 1, "event_cap")),
+    ("contact", (1, 100), 0.13, 10.0, 7, 7, (53, 12, 5.614172277382881, 1, None)),
+    ("contact", (1, 100), 0.13, 10.0, 7, 10, (2114, 324, None, 1, None)),
+    ("contact", (3, 4), 0.4, 8.0, 11, 7, (363, 61, None, 3, None)),
+    ("contact", (3, 4), 0.4, 8.0, 11, 11, (97, 13, 6.4677499468801605, 2, None)),
+    ("contact", (3, 4), 0.4, 8.0, 11, 23, (27, 6, 4.588090841631477, 3, None)),
+    ("brw", (3, 4), 0.25, 8.0, 11, 15, (31, 6, 7.600747533156132, 1, None)),
+    ("brw", (3, 4), 0.25, 8.0, 11, 18, (336, 49, None, 7, None)),
+    ("brw", (3, 4), 0.25, 8.0, 11, 29, (31, 7, 5.812075846716763, 3, None)),
+]
+
+
+@pytest.mark.parametrize("mode,degs,lam,horizon,seed,replica,expected", GOLDEN_OUTCOMES)
+def test_tree_engine_golden_outcomes(mode, degs, lam, horizon, seed, replica, expected):
+    c = config(degrees=seq(*degs), lam=lam, horizon=horizon, seed=seed,
+               max_events=3000, mode=mode)
+    o = (run_contact if mode == "contact" else run_brw)(c, replica=replica)
+    assert (o.events, o.peak_infected, o.extinction_time,
+            len(o.root_visit_times), o.truncation_reason) == expected
 
 
 def test_truncation_flags():

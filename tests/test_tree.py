@@ -1,6 +1,8 @@
 """Degree sequences and the lazily grown arena."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pertree.degrees import PeriodicDegreeSequence, degree_at
 from pertree.errors import CapacityExceeded
@@ -60,9 +62,12 @@ def test_materialize_parent_extends_spine():
     arena = TreeArena(PeriodicDegreeSequence((3, 4)))
     p = arena.materialize_parent(arena.root)
     assert arena.heights[p] == -1
-    # degree_at(-1) = 4 children: the root plus three fresh siblings
-    assert len(arena.children[p]) == 4
-    assert arena.root in arena.children[p]
+    # degree_at(-1) = 4 child slots; the root holds the first
+    assert arena.children_count(p) == 4
+    assert arena.neighbor(p, 1) == arena.root
+    kids = arena.materialize_children(p)
+    assert len(kids) == 4
+    assert arena.root in kids
     assert arena.spine_bottom == p
 
 
@@ -80,7 +85,7 @@ def test_double_parent_on_1n_tree():
     p2 = arena.materialize_parent(p1)
     assert arena.heights[p2] == -2
     # degree_at(-2) = g(0) = 1: the single child slot holds the height -1 vertex
-    assert arena.children[p2] == [p1]
+    assert arena.neighbor(p2, 1) == p1
 
 
 def test_child_slot_counts_match_degree_at():
@@ -112,8 +117,9 @@ def test_capacity_exceeded_is_explicit():
     with pytest.raises(CapacityExceeded):
         arena.materialize_children(arena.root)
     arena2 = TreeArena(PeriodicDegreeSequence((3, 4)), max_vertices=2)
+    arena2.materialize_parent(arena2.root)
     with pytest.raises(CapacityExceeded):
-        arena2.materialize_parent(arena2.root)
+        arena2.materialize_parent(arena2.spine_bottom)
 
 
 def test_neighbor_slots():
@@ -121,3 +127,58 @@ def test_neighbor_slots():
     kids = arena.materialize_children(arena.root)
     assert [arena.neighbor(arena.root, s) for s in (1, 2, 3)] == kids
     assert arena.neighbor(kids[0], 0) == arena.root
+
+
+def test_capacity_counts_touched_vertices():
+    arena = TreeArena(PeriodicDegreeSequence((1, 100)), max_vertices=3)
+    p = arena.materialize_parent(arena.root)
+    kid = arena.neighbor(arena.root, 1)
+    assert len(arena) == 3
+    with pytest.raises(CapacityExceeded):
+        arena.neighbor(p, 2)
+    with pytest.raises(CapacityExceeded):
+        arena.neighbor(kid, 7)
+    with pytest.raises(CapacityExceeded):
+        arena.materialize_parent(p)
+    # touching vertices that already exist at a full cap does not raise
+    assert arena.neighbor(p, 1) == arena.root
+    assert arena.neighbor(arena.root, 1) == kid
+    assert arena.neighbor(kid, 0) == arena.root
+    assert arena.neighbor(arena.root, 0) == p
+    assert len(arena) == 3
+
+
+def test_neighbor_rejects_missing_slots():
+    arena = TreeArena(PeriodicDegreeSequence((3, 4)))
+    for slot in (-1, 4):
+        with pytest.raises(IndexError):
+            arena.neighbor(arena.root, slot)
+    assert len(arena) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       residue=st.integers(0, 3),
+       steps=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                      max_size=200))
+def test_lazy_neighbor_contract(degrees, residue, steps):
+    arena = TreeArena(PeriodicDegreeSequence(tuple(degrees)), root_residue=residue)
+    seen = [arena.root]
+    edges: dict[tuple[int, int], int] = {}
+    for pick, slot_pick in steps:
+        v = seen[pick % len(seen)]
+        slot = slot_pick % (arena.children_count(v) + 1)
+        w = arena.neighbor(v, slot)
+        # a repeated call returns the same vertex and creates nothing
+        size = len(arena)
+        assert arena.neighbor(v, slot) == w
+        assert len(arena) == size
+        assert edges.setdefault((v, slot), w) == w
+        if slot:
+            assert arena.heights[w] == arena.heights[v] + 1
+            assert arena.neighbor(w, 0) == v
+        else:
+            assert arena.heights[w] == arena.heights[v] - 1
+        if w not in seen:
+            seen.append(w)
+    assert len(arena) == len(seen)
