@@ -92,6 +92,7 @@ def _now() -> str:
 def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset flags from the JSON config; explicit flags win.
 
+    A key is an option's dest or flag without dashes (``lam`` or ``lambda``).
     A value goes through its option's type and choices, as on the command line.
     """
     if not getattr(args, "config", None):
@@ -99,25 +100,26 @@ def _merge_config(args: argparse.Namespace) -> None:
     with open(args.config) as fh:
         loaded = json.load(fh)
     for key, value in loaded.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            action = args._options.get(attr)
-            if action is not None and value is not None:
-                try:
-                    value = (action.type or str)(str(value))
-                except ValueError as exc:
-                    raise ValueError(f"config {key!r}: {exc}") from exc
-                if action.choices is not None and value not in action.choices:
-                    raise ValueError(f"config {key!r}: {value!r} is not one of "
-                                     + ", ".join(map(str, action.choices)))
-            setattr(args, attr, value)
+        action = args._options.get(key)
+        if action is None:
+            raise ValueError(f"config: unknown key {key!r}")
+        if value is None or getattr(args, action.dest) is not None:
+            continue
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError as exc:
+            raise ValueError(f"config {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config {key!r}: {value!r} is not one of "
+                             + ", ".join(map(str, action.choices)))
+        setattr(args, action.dest, value)
 
 
 def _require(args: argparse.Namespace, *attrs: str) -> None:
-    missing = [a for a in attrs if getattr(args, a, None) is None]
+    missing = [args._options[a].option_strings[0] for a in attrs
+               if getattr(args, a, None) is None]
     if missing:
-        raise ValueError("missing required parameters: "
-                         + ", ".join(a.replace("_", "-") for a in missing))
+        raise ValueError("missing required parameters: " + ", ".join(missing))
 
 
 def _apply_defaults(args: argparse.Namespace, defaults: dict) -> None:
@@ -447,7 +449,9 @@ def build_parser() -> _Parser:
     defaults["oracle"] = {}
 
     for sub in subs.choices.values():
-        sub.set_defaults(_options={a.dest: a for a in sub._actions})
+        sub.set_defaults(_options={
+            name: a for a in sub._actions if a.dest != "help"
+            for name in (a.dest, *(f.lstrip("-") for f in a.option_strings))})
     parser.set_defaults(_defaults_map=defaults)
     return parser
 

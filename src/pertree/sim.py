@@ -13,7 +13,8 @@ active set (the rejection-free case of composition-rejection sampling).
 Random draws come from the replica's own stream in blocks.
 
 Two vectorized batch engines (star chain, explicit small graphs) serve the
-oracle cross-checks, where 1e5 replicas must finish in seconds.
+oracle cross-checks, where 1e5 replicas must finish in seconds.  They step
+integer state codes through per-state rate tables on a compact live set.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import PeriodicDegreeSequence
-from .errors import BracketFailure, CapacityExceeded
+from .errors import BracketFailure, CapacityExceeded, TooLarge
+from .oracle import GRAPH_MAX_STATES
 from .rng import stream
 from .tree import TreeArena
 
@@ -394,6 +396,12 @@ def run_star(n: int, lam: float, init: StarState, stop: str = "absorb",
             m = 1
 
 
+# ---------------------------------------------------------------------------
+# Vectorized batch engines: a state is one integer code, rates and outcome
+# thresholds are tabulated per code with the per-replica float expressions in
+# the same order, and only live replicas, kept compact in order, are stepped.
+
+
 def star_batch(n: int, lam: float, init: StarState, replicas: int,
                seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized star chains run to absorption.
@@ -402,35 +410,33 @@ def star_batch(n: int, lam: float, init: StarState, replicas: int,
     generator drives the whole batch; the result is deterministic in
     (n, lam, init, replicas, seed).
     """
+    j, m = np.divmod(np.arange(2 * (n + 1)), 2)   # code 2j + center
+    r_up = lam * (n - j) * m
+    r_down = j.astype(float)
+    r_coff = m.astype(float)
+    r_con = lam * j * (1 - m)
+    total = r_up + r_down + r_coff + r_con
+    c2, c3 = r_up + r_down, r_up + r_down + r_coff
+    move = np.array([2, -2, -1, 1])         # up, down, center off, center on
+
     rng = stream(seed)
-    j = np.full(replicas, init.j, dtype=np.int64)
-    m = np.full(replicas, init.center, dtype=np.int64)
-    t = np.zeros(replicas)
-    peak = j.copy()
-    active = np.flatnonzero((j > 0) | (m > 0))
-    while active.size:
-        ja, ma = j[active], m[active]
-        r_up = lam * (n - ja) * ma
-        r_down = ja.astype(float)
-        r_coff = ma.astype(float)
-        r_con = lam * ja * (1 - ma)
-        total = r_up + r_down + r_coff + r_con
-        t[active] += rng.standard_exponential(active.size) / total
-        u = rng.random(active.size) * total
-        up = u < r_up
-        down = ~up & (u < r_up + r_down)
-        coff = ~up & ~down & (u < r_up + r_down + r_coff)
-        con = ~(up | down | coff)
-        j[active] += up.astype(np.int64) - down.astype(np.int64)
-        m[active] += con.astype(np.int64) - coff.astype(np.int64)
-        peak[active] = np.maximum(peak[active], j[active])
-        alive = (j[active] > 0) | (m[active] > 0)
-        active = active[alive]
-    return t, peak
-
-
-# ---------------------------------------------------------------------------
-# Contact process on an explicit small graph (vectorized batch)
+    times, peaks = np.zeros(replicas), np.full(replicas, init.j, dtype=np.int64)
+    code = np.full(replicas, 2 * init.j + init.center)
+    live = np.flatnonzero(code)             # (0, 0) is absorbed at once
+    code, t, peak = code[live], times[live], code[live]   # max code has max j
+    while live.size:
+        rate = total[code]
+        t += rng.standard_exponential(live.size) / rate
+        u = rng.random(live.size) * rate
+        # The thresholds are non-decreasing: the outcome is how many u passed.
+        outcome = (u >= r_up[code]).astype(np.intp) + (u >= c2[code]) + (u >= c3[code])
+        code += move[outcome]
+        np.maximum(peak, code, out=peak)
+        done = code == 0
+        if done.any():
+            times[live[done]], peaks[live[done]] = t[done], peak[done] >> 1
+            live, code, t, peak = (a[~done] for a in (live, code, t, peak))
+    return times, peaks
 
 
 def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
@@ -445,41 +451,41 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
     verts = sorted(neighbors)
     vmap = {v: i for i, v in enumerate(verts)}
     nv = len(verts)
+    if 1 << nv > GRAPH_MAX_STATES:
+        raise TooLarge(f"2^{nv} states exceed the cap {GRAPH_MAX_STATES}")
     adj = np.zeros((nv, nv))
     for v, nbrs in neighbors.items():
         for w in nbrs:
             adj[vmap[v], vmap[w]] = 1.0
     r = vmap[root]
 
+    # Code s is the infected-subset bitmask.  Outcome col < nv recovers
+    # vertex col and col >= nv infects vertex col - nv: both flip bit col % nv.
+    s = (np.arange(1 << nv)[:, None] >> np.arange(nv) & 1).astype(bool)
+    recover = s.astype(float)
+    rates = np.concatenate([recover, lam * (recover @ adj) * ~s], axis=1)
+    total, thr = rates.sum(axis=1), np.cumsum(rates, axis=1)
+
     rng = stream(seed)
-    state = np.zeros((replicas, nv), dtype=bool)
-    state[:, r] = True
-    t = np.zeros(replicas)
-    visits = np.zeros(replicas, dtype=np.int64)
-    active = np.arange(replicas)
+    live, code = np.arange(replicas), np.full(replicas, 1 << r)
+    t, visits = np.zeros(replicas), np.zeros(replicas, dtype=np.int64)
+    times, visit_counts = t.copy(), visits.copy()
     for _ in range(max_steps):
-        if not active.size:
+        if not live.size:
             break
-        s = state[active]
-        press = s.astype(float) @ adj
-        infect = lam * press * ~s
-        recover = s.astype(float)
-        rates = np.concatenate([recover, infect], axis=1)
-        total = rates.sum(axis=1)
-        t[active] += rng.standard_exponential(active.size) / total
-        u = rng.random(active.size) * total
-        col = (np.cumsum(rates, axis=1) < u[:, None]).sum(axis=1)
-        is_rec = col < nv
-        vert = col % nv
-        state[active[is_rec], vert[is_rec]] = False
-        state[active[~is_rec], vert[~is_rec]] = True
-        visits[active] += (~is_rec) & (vert == r)
-        rows = state[active]
-        keep = rows.any(axis=1) & (t[active] < horizon)
-        active = active[keep]
+        rate = total[code]
+        t += rng.standard_exponential(live.size) / rate
+        u = rng.random(live.size) * rate
+        col = (thr[code] < u[:, None]).sum(axis=1)
+        code ^= 1 << col % nv
+        visits += col == nv + r
+        keep = (code != 0) & (t < horizon)
+        if not keep.all():
+            times[live[~keep]], visit_counts[live[~keep]] = t[~keep], visits[~keep]
+            live, code, t, visits = (a[keep] for a in (live, code, t, visits))
     else:
         raise RuntimeError("graph batch exceeded the step budget")
-    return t, visits
+    return times, visit_counts
 
 
 # ---------------------------------------------------------------------------

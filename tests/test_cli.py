@@ -185,6 +185,31 @@ def test_config_values_take_option_types(tmp_path, capsys):
         assert "usage error: config" in capsys.readouterr().err
 
 
+def test_config_keys_are_dests_or_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    base = {"degrees": "3,4", "horizon": 5, "replicas": 2, "seed": 3}
+    for spelling in ("lam", "lambda"):
+        cfg.write_text(json.dumps(dict(base, **{spelling: 0.3})))
+        code, out = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 0, spelling
+        assert json.loads(out.strip().splitlines()[-1])["lambda"] == 0.3
+    for typo in ("replicsa", "Lambda", "--lambda", "help", "_options"):
+        cfg.write_text(json.dumps(dict(base, lam=0.3, **{typo: 50})))
+        assert main(["simulate", "--config", str(cfg)]) == 1, typo
+        assert f"usage error: config: unknown key {typo!r}" in capsys.readouterr().err
+
+
+def test_missing_parameters_are_named_by_flag(tmp_path, capsys):
+    assert main(["simulate", "--degrees", "3,4"]) == 1
+    assert "usage error: missing required parameters: --lambda, --horizon" \
+        in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"degrees": "3,4", "horizon": 5}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "usage error: missing required parameters: --lambda-grid" \
+        in capsys.readouterr().err
+
+
 def test_star_bad_horizon_is_a_usage_error(capsys):
     for horizon in ("-1", "0", "nan"):
         assert main(["star", "--n", "5", "--lambda", "0.5", "--stop", "horizon",

@@ -1,5 +1,6 @@
 """Simulation engines: determinism, exactness spot checks, thresholds."""
 
+import hashlib
 import math
 import os
 
@@ -9,7 +10,7 @@ from scipy.linalg import expm
 
 from pertree.bounds import lambda2_asymptotic, lambda_g
 from pertree.degrees import PeriodicDegreeSequence
-from pertree.errors import BracketFailure
+from pertree.errors import BracketFailure, TooLarge
 from pertree import sim
 from pertree.oracle import exact_contact_small, star_mean_absorption
 from pertree.sim import (
@@ -27,6 +28,7 @@ from pertree.sim import (
     wilson_interval,
     worker_count,
 )
+from test_acceptance import GRAPH_FIXTURES
 
 
 def seq(*degs):
@@ -68,6 +70,54 @@ def test_batch_engines_deterministic():
     a = contact_graph_batch(g, 1.0, 0, 400, seed=5)
     b = contact_graph_batch(g, 1.0, 0, 400, seed=5)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def _digest(times, second):
+    return hashlib.sha256(times.tobytes() + second.tobytes()).hexdigest()
+
+
+# SHA-256 of times.tobytes() + second.tobytes() at fixed seeds: any change to
+# the engines' float arithmetic or to the order of their draws shows here.
+STAR_GOLDEN = [
+    (5, 0.5, StarState(5, 0, 1), 3000, 31,
+     "a9436fd4b89882124aaa785465b2c07eaac36b6a4e5f0041a94c64dd92459d36"),
+    (10, 1.0, StarState(10, 4, 0), 3000, 32,
+     "b73722a1135369b2171e5454c3e1b103c9c9eda6608550e2b394bb91817e4076"),
+]
+GRAPH_GOLDEN = [
+    (0, math.inf, 34, "4a4e01b693d65598f7124fa86df4d90c87cc797fa603f8d94c248e3dbb417789"),
+    (1, 1.5, 35, "919345b32ac48057785f07270308b23485351bab41a4e4f3b2e624d83f9dbdbc"),
+    (2, math.inf, 36, "310ab916350a0ce519f34ee9917cba6876bbd1befdc460716927306edf33d943"),
+]
+
+
+@pytest.mark.parametrize("n,lam,init,replicas,seed,digest", STAR_GOLDEN)
+def test_star_batch_golden_outputs(n, lam, init, replicas, seed, digest):
+    assert _digest(*star_batch(n, lam, init, replicas, seed=seed)) == digest
+
+
+def test_star_batch_from_absorbed_state():
+    times, peaks = star_batch(5, 0.5, StarState(5, 0, 0), 50, seed=33)
+    assert times.dtype == np.float64 and peaks.dtype == np.int64
+    assert not times.any() and not peaks.any()
+    assert _digest(times, peaks) == \
+        "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1"
+
+
+@pytest.mark.parametrize("fixture,horizon,seed,digest", GRAPH_GOLDEN)
+def test_contact_graph_batch_golden_outputs(fixture, horizon, seed, digest):
+    graph, lam, root = GRAPH_FIXTURES[fixture]
+    out = contact_graph_batch(graph, lam, root, 2000, seed=seed, horizon=horizon)
+    assert _digest(*out) == digest
+
+
+def test_contact_graph_batch_size_cap():
+    def path(nv):
+        return {v: [w for w in (v - 1, v + 1) if 0 <= w < nv] for v in range(nv)}
+    with pytest.raises(TooLarge):
+        contact_graph_batch(path(15), 0.5, 0, 10)
+    times, _ = contact_graph_batch(path(14), 0.5, 0, 10)   # 2^14 states: the cap
+    assert (times > 0).all()
 
 
 def test_run_replicas_parallel_matches_serial(monkeypatch):
