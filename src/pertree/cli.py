@@ -99,6 +99,8 @@ def _merge_config(args: argparse.Namespace) -> None:
         return
     with open(args.config) as fh:
         loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config: expected a JSON object, got {type(loaded).__name__}")
     for key, value in loaded.items():
         action = args._options.get(key)
         if action is None:

@@ -1,10 +1,14 @@
 """Event-driven simulation of the contact process and branching random walk.
 
-The per-replica tree engines sample the exact continuous-time chain:
-every infected vertex (or particle) carries total rate 1 + lambda * degree,
-the next event time is exponential in the total rate, and transmissions
-pick a uniform incident edge.  Transmissions onto occupied vertices are
-no-ops, which keeps the chain exact without boundary-rate bookkeeping.
+One per-replica tree engine samples the exact continuous-time chain for
+both processes: every infected vertex (or particle) carries total rate
+1 + lambda * degree, the next event time is exponential in the total rate,
+and transmissions pick a uniform incident edge.  The two differ only in the
+occupancy rule: a contact transmission onto an occupied vertex is a no-op,
+which keeps the chain exact without boundary-rate bookkeeping, while a
+branching random walk stacks particles.  ``run_contact`` and ``run_brw``
+are thin wrappers around that loop, which grows the arena's flat tables
+inline when an edge to a new vertex is first crossed.
 
 A vertex's degree depends only on its height residue, so the k residue
 classes of the period share k rates.  Each event draws a class by its total
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import PeriodicDegreeSequence
-from .errors import BracketFailure, CapacityExceeded, TooLarge
+from .errors import BracketFailure, TooLarge
 from .oracle import GRAPH_MAX_STATES
 from .rng import stream
 from .tree import TreeArena
@@ -126,7 +130,7 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
-# Tree engines: event selection by height-residue class
+# Tree engine: event selection by height-residue class
 #
 # A site at height residue c has graph degree g_c + 1 and total rate
 # r_c = 1 + lam * (g_c + 1), so all sites of one class share one rate.  An
@@ -135,6 +139,10 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 # does not grow with the active set.  The total rate sum_c n_c * r_c equals
 # n + lam * D and is recomputed every event from two exact integer counts:
 # n sites (vertices or particles) and D, the sum of their graph degrees.
+#
+# The contact process and the branching random walk share one loop and
+# differ only in the occupancy rule.  The loop reads the arena's flat tables
+# on the hit path and appends a first-touched vertex to them inline.
 
 # Draws per block.  The first block is small, so a replica that dies after a
 # few events draws little that it never uses; later blocks double up to the cap.
@@ -153,41 +161,52 @@ def _event_draws(rng: np.random.Generator):
     return itertools.chain.from_iterable(blocks())
 
 
-def _class_rates(config: SimConfig) -> tuple[list[int], list[float]]:
-    """Graph degree g_c + 1 and site rate r_c of each height residue c."""
-    degs = [g + 1 for g in config.degrees.degrees]
-    return degs, [1.0 + config.lam * d for d in degs]
-
-
 def _audit_contact(arena: TreeArena, members: list[list[int]],
-                   pos: dict[int, int], lam: float, total: float) -> None:
-    """Check the class lists against the arena, the index map, and the total
-    rate against one recomputed from the class counts."""
+                   occupied: list[int], lam: float, total: float) -> None:
+    """Check the class lists against the arena tables and the occupancy list,
+    and the total rate against one recomputed from the class counts."""
     k = len(members)
+    heights, parents, stride = arena.heights, arena.parents, arena.stride
+    assert len(occupied) == len(heights) == len(parents)
+    for key, w in arena.children.items():
+        assert parents[w] == key // stride and heights[w] == heights[parents[w]] + 1
+    assert [v for v, p in enumerate(parents) if p < 0] == [arena.spine_bottom]
     scratch = 0.0
     for c, m in enumerate(members):
-        assert [pos[v] for v in m] == list(range(len(m)))
-        heights = set(map(arena.heights.__getitem__, m))
-        assert all((arena.root_residue + h) % k == c for h in heights)
+        assert [occupied[v] for v in m] == list(range(len(m)))
+        assert all((arena.root_residue + heights[v]) % k == c for v in m)
         scratch += len(m) * (1.0 + lam * (arena.degree_seq.degrees[c] + 1))
-    assert len(pos) == sum(map(len, members))
+    assert sum(i >= 0 for i in occupied) == sum(map(len, members))
     assert math.isclose(total, scratch, rel_tol=1e-12)
 
 
-def run_contact(config: SimConfig, replica: int = 0, substream: int = 0,
-                audit: bool = False) -> SimOutcome:
-    """One exact contact-process trajectory started from the infected root."""
+def _run_tree(config: SimConfig, replica: int, substream: int, exclusive: bool,
+              audit: bool = False) -> SimOutcome:
+    """One trajectory from a single site at the root.
+
+    ``exclusive`` is the contact process: a vertex holds at most one site and
+    a transmission onto an occupied vertex is a no-op.  Otherwise every birth
+    adds a particle (branching random walk).
+    """
     rng = stream(config.seed, replica, substream)
     arena = TreeArena(config.degrees, config.root_residue, config.max_vertices)
-    neighbor = arena.neighbor
+    heights, parents, children = arena.heights, arena.parents, arena.children
+    stride, max_vertices = arena.stride, arena.max_vertices
     lam, horizon, max_events = config.lam, config.horizon, config.max_events
-    degs, rates = _class_rates(config)
+    # A contact population never exceeds the vertex count, so never its cap.
+    cap = max_vertices + 1 if exclusive else config.brw_population_cap
+    degs = [g + 1 for g in config.degrees.degrees]
+    rates = [1.0 + lam * d for d in degs]
     k = len(degs)
     classes = range(k)
     root, rc = arena.root, arena.root_residue
-    members: list[list[int]] = [[] for _ in classes]   # infected ids by class
+    # Site ids by class; a BRW holds one entry per particle.
+    members: list[list[int]] = [[] for _ in classes]
     members[rc].append(root)
-    pos = {root: 0}                # infected id -> index in its class list
+    # Contact: each vertex's index in its class list, -1 while healthy.  The
+    # BRW never writes it, so every vertex reads as free.
+    occupied = [0 if exclusive else -1]
+    n = 1
     degree_sum = degs[rc]
 
     t = 0.0
@@ -200,7 +219,7 @@ def run_contact(config: SimConfig, replica: int = 0, substream: int = 0,
         if events >= max_events:
             trunc = "event_cap"
             break
-        total = len(pos) + lam * degree_sum
+        total = n + lam * degree_sum
         t += e / total
         if t >= horizon:
             t = horizon
@@ -225,125 +244,79 @@ def run_contact(config: SimConfig, replica: int = 0, substream: int = 0,
         y = a * r
         if y < 1.0:
             last = m.pop()
-            if last != v:
+            if i < len(m):
                 m[i] = last
-                pos[last] = i
-            del pos[v]
+            if exclusive:
+                occupied[last] = i
+                occupied[v] = -1
+            n -= 1
             degree_sum -= degs[c]
-            if not pos:
+            if not n:
                 break
         else:
             # y is uniform on [1, r_c): lam-wide slices pick the edge.
             slot = int((y - 1.0) / lam)
             if slot >= degs[c]:
                 slot = degs[c] - 1
-            try:
-                w = neighbor(v, slot)
-            except CapacityExceeded:
-                trunc = "vertex_cap"
-                break
-            if w not in pos:
-                cw = (c + 1) % k if slot else (c - 1) % k
+            if slot:
+                cw = (c + 1) % k
+                key = v * stride + slot
+                w = children.get(key, -1)
+                if w < 0:
+                    w = len(heights)
+                    if w >= max_vertices:
+                        trunc = "vertex_cap"
+                        break
+                    heights.append(heights[v] + 1)
+                    parents.append(v)
+                    occupied.append(-1)
+                    children[key] = w
+            else:
+                cw = (c - 1) % k
+                w = parents[v]
+                if w < 0:   # v is the spine bottom: grow the spine by one
+                    w = len(heights)
+                    if w >= max_vertices:
+                        trunc = "vertex_cap"
+                        break
+                    heights.append(heights[v] - 1)
+                    parents.append(-1)
+                    occupied.append(-1)
+                    parents[v] = w
+                    children[w * stride + 1] = v
+                    arena.spine_bottom = w
+            if occupied[w] < 0:
                 mw = members[cw]
-                pos[w] = len(mw)
+                if exclusive:
+                    occupied[w] = len(mw)
                 mw.append(w)
+                n += 1
                 degree_sum += degs[cw]
                 if w == root:
                     visits.append(t)
-                if len(pos) > peak:
-                    peak = len(pos)
+                if n > peak:
+                    peak = n
+                    # n grows by one, so it first reaches the cap at a new peak.
+                    if n >= cap:
+                        trunc = "population_cap"
+                        break
         if audit:
-            _audit_contact(arena, members, pos, lam, len(pos) + lam * degree_sum)
+            _audit_contact(arena, members, occupied, lam, n + lam * degree_sum)
 
-    extinct = not pos and trunc is None
+    extinct = not n and trunc is None
     return SimOutcome(extinct, t if extinct else None, visits, peak, events,
                       trunc is not None, trunc)
 
 
-# ---------------------------------------------------------------------------
-# Branching random walk (no per-site exclusion)
+def run_contact(config: SimConfig, replica: int = 0, substream: int = 0,
+                audit: bool = False) -> SimOutcome:
+    """One exact contact-process trajectory started from the infected root."""
+    return _run_tree(config, replica, substream, True, audit)
 
 
 def run_brw(config: SimConfig, replica: int = 0, substream: int = 0) -> SimOutcome:
     """One branching-random-walk trajectory started from one particle at the root."""
-    rng = stream(config.seed, replica, substream)
-    arena = TreeArena(config.degrees, config.root_residue, config.max_vertices)
-    neighbor = arena.neighbor
-    lam, horizon, max_events = config.lam, config.horizon, config.max_events
-    cap = config.brw_population_cap
-    degs, rates = _class_rates(config)
-    k = len(degs)
-    classes = range(k)
-    root, rc = arena.root, arena.root_residue
-    # One entry per particle, the id of the vertex it sits on, by class.
-    members: list[list[int]] = [[] for _ in classes]
-    members[rc].append(root)
-    population = 1
-    degree_sum = degs[rc]
-
-    t = 0.0
-    visits = [0.0]
-    peak = 1
-    events = 0
-    trunc: str | None = None
-
-    for e, u, a in _event_draws(rng):
-        if events >= max_events:
-            trunc = "event_cap"
-            break
-        total = population + lam * degree_sum
-        t += e / total
-        if t >= horizon:
-            t = horizon
-            break
-        events += 1
-        x = u * total
-        for c in classes:
-            m = members[c]
-            w = len(m) * rates[c]
-            if x < w:
-                break
-            x -= w
-        else:   # rounding carried x past the last weight
-            c = max(c for c in classes if members[c])
-            m = members[c]
-        r = rates[c]
-        i = int(x / r)
-        if i >= len(m):
-            i = len(m) - 1
-        y = a * r
-        if y < 1.0:
-            last = m.pop()
-            if i < len(m):
-                m[i] = last
-            population -= 1
-            degree_sum -= degs[c]
-            if not population:
-                break
-        else:
-            slot = int((y - 1.0) / lam)
-            if slot >= degs[c]:
-                slot = degs[c] - 1
-            try:
-                w = neighbor(m[i], slot)
-            except CapacityExceeded:
-                trunc = "vertex_cap"
-                break
-            cw = (c + 1) % k if slot else (c - 1) % k
-            members[cw].append(w)
-            population += 1
-            degree_sum += degs[cw]
-            if w == root:
-                visits.append(t)
-            if population > peak:
-                peak = population
-            if population >= cap:
-                trunc = "population_cap"
-                break
-
-    extinct = population == 0 and trunc is None
-    return SimOutcome(extinct, t if extinct else None, visits, peak, events,
-                      trunc is not None, trunc)
+    return _run_tree(config, replica, substream, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Lazily materialized bi-infinite periodic tree.
+"""Lazily materialized bi-infinite periodic tree in flat int-keyed tables.
 
 The tree is realized as a downward-growing ancestor spine plus
 upward-growing subtrees.  A vertex's edges are numbered by slot: slot 0
-leads to its parent and slots 1..g to its children, and a child is found
-by its (parent, slot) address in one map.  A vertex is created only when an
-edge to it is first crossed, so untouched siblings never exist.  Vertices
-live in a flat arena; ids are stable and growth is monotone.  A hard cap on
-the number of touched vertices turns runaway growth into an explicit
+leads to its parent and slots 1..g to its children.  Vertices are ids into
+flat tables: ``heights``, ``parents`` (-1 while the spine bottom has no
+parent yet) and one ``children`` dict keyed by the int ``vid * stride +
+slot``, with ``stride`` one more than the largest g.  A vertex is created
+only when an edge to it is first crossed, so untouched siblings never
+exist; ids are stable and growth is monotone.  A hard cap on the number of
+touched vertices turns runaway growth into an explicit
 :class:`~pertree.errors.CapacityExceeded` instead of unbounded memory use.
+
+The tree engine in :mod:`pertree.sim` reads and grows these tables inline;
+the methods below are the same growth rules for every other caller.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ class TreeArena:
         self.root_residue = root_residue % degree_seq.period
         self.max_vertices = max_vertices
         self._degrees, self._period = degree_seq.degrees, degree_seq.period
+        self.stride = max(self._degrees) + 1
         self.heights: list[int] = []
-        self.parents: list[int | None] = []
-        self.slots: dict[tuple[int, int], int] = {}   # (parent, slot) -> child
+        self.parents: list[int] = []
+        self.children: dict[int, int] = {}   # vid * stride + slot -> child
         self._child_lists: dict[int, list[int]] = {}
-        self.root = self._new_vertex(0, None)
+        self.root = self._new_vertex(0, -1)
         self.spine_bottom = self.root
 
     def __len__(self) -> int:
@@ -45,7 +51,7 @@ class TreeArena:
         """Children slots of a vertex (g of its height residue)."""
         return self._degrees[(self.root_residue + self.heights[vid]) % self._period]
 
-    def _new_vertex(self, height: int, parent: int | None) -> int:
+    def _new_vertex(self, height: int, parent: int) -> int:
         if len(self.heights) >= self.max_vertices:
             raise CapacityExceeded(f"vertex cap {self.max_vertices} reached")
         self.heights.append(height)
@@ -63,13 +69,13 @@ class TreeArena:
     def materialize_parent(self, vid: int) -> int:
         """Return the parent of ``vid``, extending the spine if needed."""
         parent = self.parents[vid]
-        if parent is not None:
+        if parent >= 0:
             return parent
         if vid != self.spine_bottom:
             raise ValueError(f"vertex {vid} has no parent and is not the spine bottom")
-        parent = self._new_vertex(self.heights[vid] - 1, None)
+        parent = self._new_vertex(self.heights[vid] - 1, -1)
         # The old spine bottom takes the parent's first child slot.
-        self.slots[parent, 1] = vid
+        self.children[parent * self.stride + 1] = vid
         self.parents[vid] = parent
         self.spine_bottom = parent
         return parent
@@ -81,10 +87,11 @@ class TreeArena:
         """
         if slot == 0:
             return self.materialize_parent(vid)
-        child = self.slots.get((vid, slot))
+        if not 0 < slot <= self.children_count(vid):
+            raise IndexError(f"vertex {vid} has no child slot {slot}")
+        key = vid * self.stride + slot
+        child = self.children.get(key)
         if child is None:
-            if not 0 < slot <= self.children_count(vid):
-                raise IndexError(f"vertex {vid} has no child slot {slot}")
             child = self._new_vertex(self.heights[vid] + 1, vid)
-            self.slots[vid, slot] = child
+            self.children[key] = child
         return child

@@ -199,6 +199,14 @@ def test_config_keys_are_dests_or_flags(tmp_path, capsys):
         assert f"usage error: config: unknown key {typo!r}" in capsys.readouterr().err
 
 
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for loaded in ([1, 2], "lam", 3, None):
+        cfg.write_text(json.dumps(loaded))
+        assert main(["simulate", "--config", str(cfg)]) == 1, loaded
+        assert "usage error: config: expected a JSON object" in capsys.readouterr().err
+
+
 def test_missing_parameters_are_named_by_flag(tmp_path, capsys):
     assert main(["simulate", "--degrees", "3,4"]) == 1
     assert "usage error: missing required parameters: --lambda, --horizon" \

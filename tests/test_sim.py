@@ -263,6 +263,53 @@ def test_tree_engine_golden_outcomes(mode, degs, lam, horizon, seed, replica, ex
             len(o.root_visit_times), o.truncation_reason) == expected
 
 
+# Whole fixed-seed outcomes of both tree engines, hashed: periods 1-3, non-zero
+# root residues, spine growth and every truncation reason.  Columns: mode,
+# degrees, lam, horizon, root residue, max_events, max_vertices, BRW population
+# cap, seed.  The digest was taken before the engines were merged into one loop.
+DIGEST_CASES = [
+    ("contact", (3,), 0.45, 10.0, 0, 3000, 500_000, 10**6, 5),
+    ("contact", (1, 100), 0.13, 10.0, 0, 3000, 500_000, 10**6, 7),
+    ("contact", (2, 3, 4), 0.45, 8.0, 2, 3000, 500_000, 10**6, 9),
+    ("contact", (2, 3, 4), 1.0, 8.0, 1, 3000, 40, 10**6, 13),
+    ("brw", (3,), 0.2, 8.0, 0, 3000, 500_000, 10**6, 5),
+    ("brw", (3, 4), 0.25, 8.0, 1, 3000, 500_000, 10**6, 11),
+    ("brw", (2, 3, 4), 0.5, 8.0, 0, 150, 500_000, 10**6, 17),
+    ("brw", (2, 3, 4), 0.6, 8.0, 2, 3000, 40, 10**6, 13),
+    ("brw", (3, 4), 0.5, 8.0, 0, 3000, 500_000, 40, 19),
+]
+DIGEST_REPLICAS = 12
+OUTCOMES_DIGEST = "3fc8a987ce74c39f93da4b532006690306e164b73e515960cb7e20ca5bded330"
+
+
+def test_tree_engine_outcome_digest(monkeypatch):
+    arenas = []
+
+    class RecordingArena(sim.TreeArena):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            arenas.append(self)
+
+    monkeypatch.setattr(sim, "TreeArena", RecordingArena)
+    digest = hashlib.sha256()
+    reasons = {"contact": set(), "brw": set()}
+    spine = {"contact": 0, "brw": 0}
+    for mode, degs, lam, horizon, residue, events, vertices, cap, seed in DIGEST_CASES:
+        c = SimConfig(seq(*degs), lam, horizon, residue, events, vertices, seed,
+                      DIGEST_REPLICAS, mode, cap)
+        runner = run_contact if mode == "contact" else run_brw
+        arenas.clear()
+        for replica in range(DIGEST_REPLICAS):
+            o = runner(c, replica=replica)
+            digest.update(repr(o).encode())
+            reasons[mode].add(o.truncation_reason)
+        spine[mode] += sum(min(a.heights) < 0 for a in arenas)
+    assert reasons == {"contact": {None, "event_cap", "vertex_cap"},
+                       "brw": {None, "event_cap", "vertex_cap", "population_cap"}}
+    assert spine["contact"] and spine["brw"]
+    assert digest.hexdigest() == OUTCOMES_DIGEST
+
+
 def test_truncation_flags():
     c = config(lam=5.0, horizon=50.0, max_events=200)
     out = run_contact(c)

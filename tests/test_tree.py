@@ -182,3 +182,9 @@ def test_lazy_neighbor_contract(degrees, residue, steps):
         if w not in seen:
             seen.append(w)
     assert len(arena) == len(seen)
+    # the flat tables: every created child maps back to its parent by its key
+    for key, w in arena.children.items():
+        v, slot = divmod(key, arena.stride)
+        assert arena.parents[w] == v
+        assert 0 < slot <= arena.children_count(v)
+        assert arena.neighbor(v, slot) == w
