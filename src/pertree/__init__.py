@@ -37,7 +37,7 @@ from .sim import (
     estimate_lambda2,
     run_brw,
     run_contact,
-    run_star,
+    star_runs,
     survival_curve,
 )
 from .tree import TreeArena
@@ -78,7 +78,7 @@ __all__ = [
     "pemantle_upper",
     "run_brw",
     "run_contact",
-    "run_star",
     "star_mean_absorption",
+    "star_runs",
     "survival_curve",
 ]

@@ -42,10 +42,13 @@ from .errors import (
 )
 from .oracle import enumerate_closed_walks, exact_contact_small, star_mean_absorption
 from .sim import (
+    DEFAULT_BRW_POP_CAP,
+    DEFAULT_MAX_EVENTS,
+    DEFAULT_MAX_VERTICES,
     SimConfig,
     StarState,
     run_replicas,
-    run_star,
+    star_runs,
     survival_curve,
 )
 from .walks import m0_estimates
@@ -274,14 +277,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_star(args) -> int:
+    if args.stop == "reach" and args.level is None:
+        raise ValueError("stop='reach' needs a level")
+    if args.stop == "horizon" and not (args.horizon is not None and args.horizon > 0):
+        raise ValueError("stop='horizon' needs a positive horizon")
+    level = args.level if args.stop == "reach" else None
+    horizon = args.horizon if args.stop == "horizon" else math.inf
     init = StarState(args.n, args.j, args.center)
+    runs = star_runs(args.n, args.lam, init, args.replicas, args.seed, level, horizon)
     rows = []
-    for i in range(args.replicas):
-        result = run_star(args.n, args.lam, init, stop=args.stop,
-                          level=args.level, horizon=args.horizon,
-                          seed=args.seed, replica=i)
-        rows.append([i, result.hit, repr(result.time), result.path_peak,
-                     repr(result.time_avg_leaves)])
+    for i, (t, peak, area) in enumerate(zip(*(a.tolist() for a in runs))):
+        hit = ("horizon" if t == horizon else
+               "reach" if level is not None and peak >= level else "absorb")
+        rows.append([i, hit, repr(t), peak, repr(area / t if t else 0.0)])
     _emit(_csv_text(["replica", "hit", "time", "peak", "time_avg_leaves"], rows),
           args.out, _manifest(args))
     return 0
@@ -388,8 +396,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_walks)
     defaults["walks"] = {}
 
-    sim_defaults = dict(root_residue=0, max_events=1_000_000,
-                        max_vertices=500_000, brw_population_cap=1_000_000,
+    sim_defaults = dict(root_residue=0, max_events=DEFAULT_MAX_EVENTS,
+                        max_vertices=DEFAULT_MAX_VERTICES,
+                        brw_population_cap=DEFAULT_BRW_POP_CAP,
                         seed=0, replicas=1, mode="contact")
 
     p = subs.add_parser("simulate", help="per-replica simulation records")

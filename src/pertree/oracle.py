@@ -8,6 +8,7 @@ These are the independent side of every simulator/DP cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ def star_mean_absorption(n: int, lam: float) -> AbsorptionSolve:
     first-step system pentadiagonal; a banded solve keeps it exact and fast
     up to n = 2000.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and >= 0")
     if n > STAR_MAX_LEAVES:
         raise TooLarge(f"star size {n} exceeds the cap {STAR_MAX_LEAVES}")
     size = 2 * (n + 1)
@@ -99,6 +102,8 @@ def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
     first-step systems: absorption time, and the expected number of
     transitions that reinfect the root.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and >= 0")
     verts = sorted(neighbors)
     vmap = {v: i for i, v in enumerate(verts)}
     nv = len(verts)

@@ -19,6 +19,8 @@ Random draws come from the replica's own stream in blocks.
 Two vectorized batch engines (star chain, explicit small graphs) serve the
 oracle cross-checks, where 1e5 replicas must finish in seconds.  They step
 integer state codes through per-state rate tables on a compact live set.
+The star engine, with its absorb, reach and horizon stops and its leaf-time
+integral, is also the only star simulator behind ``pertree star``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .tree import TreeArena
 DEFAULT_MAX_EVENTS = 1_000_000
 DEFAULT_MAX_VERTICES = 500_000
 DEFAULT_BRW_POP_CAP = 1_000_000
+STAR_TABLE_MAX_LEAVES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +102,6 @@ class StarState:
     def __post_init__(self):
         if not 0 <= self.j <= self.n or self.center not in (0, 1):
             raise ValueError("invalid star state")
-
-
-@dataclass
-class StarRunResult:
-    hit: str                 # which stop condition fired
-    time: float
-    path_peak: int           # max infected-leaf count seen
-    time_avg_leaves: float   # time average of the infected-leaf count
 
 
 @dataclass
@@ -320,69 +315,34 @@ def run_brw(config: SimConfig, replica: int = 0, substream: int = 0) -> SimOutco
 
 
 # ---------------------------------------------------------------------------
-# Star-graph chain
-
-
-def run_star(n: int, lam: float, init: StarState, stop: str = "absorb",
-             level: int | None = None, horizon: float | None = None,
-             seed: int = 0, replica: int = 0) -> StarRunResult:
-    """Simulate the aggregated (infected leaves, center) chain to a stop condition.
-
-    Transitions: j -> j+1 at rate lam*(n-j) while the center is infected,
-    j -> j-1 at rate j, center 1 -> 0 at rate 1, center 0 -> 1 at rate lam*j.
-    ``stop``: "absorb" (state (0,0)), "reach" (j >= level), "horizon".
-    """
-    if stop == "reach" and level is None:
-        raise ValueError("stop='reach' needs a level")
-    if stop == "horizon" and not (horizon is not None and horizon > 0):
-        raise ValueError("stop='horizon' needs a positive horizon")
-    rng = stream(seed, replica)
-    j, m = init.j, init.center
-    t = 0.0
-    peak = j
-    area = 0.0
-    while True:
-        if j == 0 and m == 0:
-            return StarRunResult("absorb", t, peak, area / t if t else 0.0)
-        if stop == "reach" and j >= level:
-            return StarRunResult("reach", t, peak, area / t if t else 0.0)
-        r_up = lam * (n - j) * m
-        r_down = float(j)
-        r_coff = float(m)
-        r_con = lam * j * (1 - m)
-        total = r_up + r_down + r_coff + r_con
-        dt = rng.standard_exponential() / total
-        if stop == "horizon" and t + dt >= horizon:
-            area += j * (horizon - t)
-            return StarRunResult("horizon", horizon, peak, area / horizon)
-        area += j * dt
-        t += dt
-        u = rng.random() * total
-        if u < r_up:
-            j += 1
-            peak = max(peak, j)
-        elif u < r_up + r_down:
-            j -= 1
-        elif u < r_up + r_down + r_coff:
-            m = 0
-        else:
-            m = 1
-
-
-# ---------------------------------------------------------------------------
 # Vectorized batch engines: a state is one integer code, rates and outcome
 # thresholds are tabulated per code with the per-replica float expressions in
 # the same order, and only live replicas, kept compact in order, are stepped.
 
 
-def star_batch(n: int, lam: float, init: StarState, replicas: int,
-               seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized star chains run to absorption.
+def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
+              level: int | None = None, horizon: float = math.inf
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized (infected leaves, center) chains run to a stop.
 
-    Returns (absorption_times, peak_leaf_counts).  One counter-based
-    generator drives the whole batch; the result is deterministic in
-    (n, lam, init, replicas, seed).
+    Transitions: j -> j+1 at rate lam*(n-j) while the center is infected,
+    j -> j-1 at rate j, center 1 -> 0 at rate 1, center 0 -> 1 at rate lam*j.
+    A replica stops on absorption at (0,0), on j >= ``level`` when a level is
+    given, or at exactly ``horizon``, where the step that crosses it is not
+    applied.  Returns (stop_times, peak_leaf_counts, leaf_times), the last
+    being the integral of j up to the stop.  One counter-based generator
+    drives the whole batch; the result is deterministic in the arguments.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and >= 0")
+    if init.n != n:
+        raise ValueError(f"start state is on a star with {init.n} leaves, not {n}")
+    if replicas < 1 or (level is not None and level < 1):
+        raise ValueError("replicas and level must be >= 1")
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    if n > STAR_TABLE_MAX_LEAVES:   # the per-state tables peak near 330 bytes a leaf
+        raise TooLarge(f"star size {n} exceeds the cap {STAR_TABLE_MAX_LEAVES}")
     j, m = np.divmod(np.arange(2 * (n + 1)), 2)   # code 2j + center
     r_up = lam * (n - j) * m
     r_down = j.astype(float)
@@ -391,25 +351,49 @@ def star_batch(n: int, lam: float, init: StarState, replicas: int,
     total = r_up + r_down + r_coff + r_con
     c2, c3 = r_up + r_down, r_up + r_down + r_coff
     move = np.array([2, -2, -1, 1])         # up, down, center off, center on
+    stop = j >= (n + 1 if level is None else level)
+    stop[0] = True                          # (0, 0) is absorbing
 
     rng = stream(seed)
     times, peaks = np.zeros(replicas), np.full(replicas, init.j, dtype=np.int64)
+    leaf_time = np.zeros(replicas)
     code = np.full(replicas, 2 * init.j + init.center)
-    live = np.flatnonzero(code)             # (0, 0) is absorbed at once
-    code, t, peak = code[live], times[live], code[live]   # max code has max j
+    live = np.flatnonzero(~stop[code])
+    code, t, peak, area = code[live], times[live], code[live], leaf_time[live]
     while live.size:
-        rate = total[code]
-        t += rng.standard_exponential(live.size) / rate
+        rate = total.take(code)
+        dt = rng.standard_exponential(live.size) / rate
         u = rng.random(live.size) * rate
         # The thresholds are non-decreasing: the outcome is how many u passed.
-        outcome = (u >= r_up[code]).astype(np.intp) + (u >= c2[code]) + (u >= c3[code])
-        code += move[outcome]
+        step = move.take((u >= r_up.take(code)).astype(np.intp)
+                         + (u >= c2.take(code)) + (u >= c3.take(code)))
+        if horizon < math.inf:   # no clamp work on the absorb and reach paths
+            over = t + dt >= horizon
+            dt[over], step[over] = horizon - t[over], 0
+        t += dt
+        dt *= r_down.take(code)             # r_down is j as a float
+        area += dt
+        code += step
         np.maximum(peak, code, out=peak)
-        done = code == 0
+        done = stop.take(code)
+        if horizon < math.inf:
+            t[over] = horizon
+            done |= over
         if done.any():
-            times[live[done]], peaks[live[done]] = t[done], peak[done] >> 1
-            live, code, t, peak = (a[~done] for a in (live, code, t, peak))
-    return times, peaks
+            # index arrays once: a boolean mask would rescan done per array
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            out = live.take(gone)
+            times[out], peaks[out] = t.take(gone), peak.take(gone) >> 1  # max code, max j
+            leaf_time[out] = area.take(gone)
+            live, code, t, peak, area = (a.take(keep) for a in
+                                         (live, code, t, peak, area))
+    return times, peaks, leaf_time
+
+
+def star_batch(n: int, lam: float, init: StarState, replicas: int,
+               seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized star chains run to absorption: (absorption_times, peak_leaf_counts)."""
+    return star_runs(n, lam, init, replicas, seed)[:2]
 
 
 def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,

@@ -157,6 +157,55 @@ def test_star_csv(capsys):
     assert all(line.split(",")[1] == "absorb" for line in lines[1:])
 
 
+@pytest.mark.parametrize("stop,extra,hits", [
+    ("absorb", [], {"absorb"}),
+    ("reach", ["--level", "4"], {"reach", "absorb"}),
+    ("horizon", ["--horizon", "1.0", "--j", "2"], {"horizon", "absorb"}),
+])
+def test_star_stop_rules(capsys, stop, extra, hits):
+    code, out = run(capsys, "star", "--n", "5", "--lambda", "0.5", "--stop", stop,
+                    "--replicas", "200", "--seed", "2", *extra)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "replica,hit,time,peak,time_avg_leaves"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(200))
+    assert {r[1] for r in rows} == hits
+    for _, hit, t, peak, avg in rows:
+        assert 0.0 <= float(avg) <= 5.0
+        if hit == "reach":
+            assert int(peak) >= 4
+        if stop == "horizon":
+            assert float(t) <= 1.0 and (hit == "horizon") == (float(t) == 1.0)
+    code, again = run(capsys, "star", "--n", "5", "--lambda", "0.5", "--stop", stop,
+                      "--replicas", "200", "--seed", "2", *extra)
+    assert again == out
+
+
+def test_star_bad_input_is_a_usage_error(capsys):
+    base = ["star", "--n", "5"]
+    for argv, message in (
+            (["--lambda", "-1"], "lambda must be finite and >= 0"),
+            (["--lambda", "nan"], "lambda must be finite and >= 0"),
+            (["--lambda", "inf"], "lambda must be finite and >= 0"),
+            (["--lambda", "0.5", "--replicas", "-3"], "replicas and level must be >= 1"),
+            (["--lambda", "0.5", "--stop", "reach", "--level", "-2"],
+             "replicas and level must be >= 1"),
+            (["--lambda", "0.5", "--stop", "reach"], "stop='reach' needs a level")):
+        assert main(base + argv) == 1, argv
+        captured = capsys.readouterr()
+        assert f"usage error: {message}" in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_oracle_bad_lambda_is_a_usage_error(capsys):
+    for argv in (["--star-n", "5"], ["--edges", "0-1"]):
+        for lam in ("-1", "nan", "inf"):
+            assert main(["oracle", *argv, "--lambda", lam]) == 1, (argv, lam)
+            assert "usage error: lambda must be finite and >= 0" \
+                in capsys.readouterr().err
+
+
 def test_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"degrees": "3,4", "lambda-grid": "0.1:0.1:0.1",

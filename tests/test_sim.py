@@ -22,8 +22,8 @@ from pertree.sim import (
     run_brw,
     run_contact,
     run_replicas,
-    run_star,
     star_batch,
+    star_runs,
     survival_curve,
     wilson_interval,
     worker_count,
@@ -57,9 +57,9 @@ def test_brw_deterministic():
 
 
 def test_star_deterministic():
-    a = run_star(5, 0.5, StarState(5, 0, 1), seed=9, replica=2)
-    b = run_star(5, 0.5, StarState(5, 0, 1), seed=9, replica=2)
-    assert a == b
+    a = star_runs(5, 0.5, StarState(5, 0, 1), 50, seed=9, horizon=2.0)
+    b = star_runs(5, 0.5, StarState(5, 0, 1), 50, seed=9, horizon=2.0)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_batch_engines_deterministic():
@@ -72,11 +72,11 @@ def test_batch_engines_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def _digest(times, second):
-    return hashlib.sha256(times.tobytes() + second.tobytes()).hexdigest()
+def _digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
-# SHA-256 of times.tobytes() + second.tobytes() at fixed seeds: any change to
+# SHA-256 of the output arrays' bytes, in order, at fixed seeds: any change to
 # the engines' float arithmetic or to the order of their draws shows here.
 STAR_GOLDEN = [
     (5, 0.5, StarState(5, 0, 1), 3000, 31,
@@ -94,6 +94,16 @@ GRAPH_GOLDEN = [
 @pytest.mark.parametrize("n,lam,init,replicas,seed,digest", STAR_GOLDEN)
 def test_star_batch_golden_outputs(n, lam, init, replicas, seed, digest):
     assert _digest(*star_batch(n, lam, init, replicas, seed=seed)) == digest
+
+
+@pytest.mark.parametrize("n,lam,init,seed,stops,digest", [
+    (5, 0.5, StarState(5, 2, 1), 37, dict(horizon=1.5),
+     "8cad92747bc34225af719f559e3c7607551edbecc95722b12aa3ffaae6cf01a3"),
+    (10, 1.0, StarState(10, 0, 1), 38, dict(level=6),
+     "5cfb6ca91353e72ad8b613a81eab8df992add448f5a5ea42e5d1e46552b4ac6e"),
+])
+def test_star_runs_golden_outputs(n, lam, init, seed, stops, digest):
+    assert _digest(*star_runs(n, lam, init, 3000, seed=seed, **stops)) == digest
 
 
 def test_star_batch_from_absorbed_state():
@@ -199,8 +209,7 @@ def test_brw_mean_events_matches_closed_form(degs, root_residue):
 
 
 def test_star_lambda0_mean_lifetime():
-    times = [run_star(4, 0.0, StarState(4, 0, 1), seed=8, replica=i).time
-             for i in range(20_000)]
+    times, _, _ = star_runs(4, 0.0, StarState(4, 0, 1), 20_000, seed=8)
     mean = float(np.mean(times))
     se = float(np.std(times)) / math.sqrt(len(times))
     assert abs(mean - 1.0) <= 3 * se
@@ -338,40 +347,105 @@ def test_star_absorption_matches_oracle_from_multiple_states():
     oracle = star_mean_absorption(n, lam).expected_time
     for idx, init in enumerate([StarState(3, 0, 1), StarState(3, 2, 0),
                                 StarState(3, 3, 1)]):
-        times = [run_star(n, lam, init, seed=100 + idx, replica=i).time
-                 for i in range(reps)]
+        times, _, _ = star_runs(n, lam, init, reps, seed=100 + idx)
         mean = float(np.mean(times))
         se = float(np.std(times)) / math.sqrt(reps)
         assert abs(mean - oracle[(init.j, init.center)]) <= 3 * se
 
 
 def test_star_absorbed_immediately():
-    out = run_star(7, 0.9, StarState(7, 0, 0), seed=1)
-    assert out.hit == "absorb" and out.time == 0.0
+    times, peaks, leaf_time = star_runs(7, 0.9, StarState(7, 0, 0), 1, seed=1)
+    assert times[0] == 0.0 and peaks[0] == 0 and leaf_time[0] == 0.0
 
 
 def test_star_reach_stop():
-    out = run_star(10, 2.0, StarState(10, 0, 1), stop="reach", level=5, seed=4)
-    assert out.hit in ("reach", "absorb")
-    if out.hit == "reach":
-        assert out.path_peak >= 5
+    times, peaks, _ = star_runs(10, 2.0, StarState(10, 0, 1), 200, seed=4, level=5)
+    # j moves by one, so a replica stops on reaching exactly the level
+    assert (peaks <= 5).all() and (peaks == 5).any() and (peaks < 5).any()
+    assert (times > 0).all()
+    # a replica already at the level stops at once
+    times, peaks, _ = star_runs(10, 2.0, StarState(10, 6, 0), 3, seed=4, level=5)
+    assert not times.any() and (peaks == 6).all()
 
 
 def test_star_stop_parameter_validation():
+    init = StarState(5, 0, 1)
+    for bad in (dict(level=0), dict(level=-2), dict(horizon=0.0),
+                dict(horizon=-1.0), dict(horizon=math.nan)):
+        with pytest.raises(ValueError):
+            star_runs(5, 0.5, init, 10, **bad)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            star_runs(5, lam, init, 10)
+    for replicas in (0, -3):
+        with pytest.raises(ValueError):
+            star_runs(5, 0.5, init, replicas)
     with pytest.raises(ValueError):
-        run_star(5, 0.5, StarState(5, 0, 1), stop="reach")
-    with pytest.raises(ValueError):
-        run_star(5, 0.5, StarState(5, 0, 1), stop="horizon")
+        star_runs(5, 0.5, StarState(10, 8, 1), 10)
+    big = sim.STAR_TABLE_MAX_LEAVES + 1
+    with pytest.raises(TooLarge):
+        star_runs(big, 0.5, StarState(big, 0, 1), 1)
 
 
 def test_star_quasi_equilibrium():
     # drift fixed point K = lam n / (lam + 1) ~ 57.1 at n=200, lam=0.4
     n, lam = 200, 0.4
     k = lam * n / (lam + 1)
-    avgs = [run_star(n, lam, StarState(n, round(k), 1), stop="horizon",
-                     horizon=100.0, seed=21, replica=i).time_avg_leaves
-            for i in range(3)]
+    times, _, leaf_time = star_runs(n, lam, StarState(n, round(k), 1), 3,
+                                    seed=21, horizon=100.0)
+    assert (times == 100.0).all()
+    avgs = leaf_time / times
     assert abs(float(np.mean(avgs)) - k) <= 0.1 * k
+
+
+def star_generator(n, lam):
+    """Generator of the star chain on codes 2j + center; (0, 0) is absorbing."""
+    q = np.zeros((2 * (n + 1), 2 * (n + 1)))
+    for j in range(n + 1):
+        for m in (0, 1):
+            i = 2 * j + m
+            if i == 0:
+                continue
+            for rate, target in ((lam * (n - j) * m, i + 2), (j, i - 2),
+                                 (m, i - 1), (lam * j * (1 - m), i + 1)):
+                if rate:
+                    q[i, target] += rate
+                    q[i, i] -= rate
+    return q
+
+
+def test_star_horizon_leaf_time_matches_expm():
+    # E[int_0^T j ds] = e_x^T (int_0^T exp(sQ) ds) j, from the top-right
+    # block of exp([[Q, I], [0, 0]] T)
+    n, lam, horizon, init = 5, 0.5, 3.0, StarState(5, 2, 1)
+    q = star_generator(n, lam)
+    size = q.shape[0]
+    block = np.zeros((2 * size, 2 * size))
+    block[:size, :size] = q
+    block[:size, size:] = np.eye(size)
+    integral = expm(block * horizon)[:size, size:]
+    exact = float(integral[2 * init.j + init.center] @ (np.arange(size) // 2))
+    times, _, leaf_time = star_runs(n, lam, init, 100_000, seed=41, horizon=horizon)
+    assert times.max() == horizon and (times == horizon).any()
+    se = float(leaf_time.std()) / math.sqrt(leaf_time.size)
+    assert abs(float(leaf_time.mean()) - exact) <= 3 * se
+
+
+def test_star_reach_probability_matches_first_step_solve():
+    n, lam, level, init = 5, 0.5, 4, StarState(5, 0, 1)
+    q = star_generator(n, lam)
+    codes = np.arange(q.shape[0])
+    reached = codes // 2 >= level
+    transient = ~reached & (codes != 0)
+    # on transient states Q h = 0, with h = 1 once j >= level and 0 at (0, 0)
+    h = np.linalg.solve(q[np.ix_(transient, transient)],
+                        -q[np.ix_(transient, reached)].sum(axis=1))
+    exact = float(h[np.flatnonzero(transient) == 2 * init.j + init.center][0])
+    assert exact == pytest.approx(0.09761388286334052, rel=1e-12)
+    _, peaks, _ = star_runs(n, lam, init, 100_000, seed=42, level=level)
+    p = float(np.mean(peaks >= level))
+    se = math.sqrt(exact * (1 - exact) / peaks.size)
+    assert abs(p - exact) <= 3 * se
 
 
 def test_star_batch_agrees_with_oracle():
