@@ -277,6 +277,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_star(args) -> int:
+    if args.replicas < 1:
+        raise ValueError("replicas must be >= 1")
     if args.stop == "reach" and args.level is None:
         raise ValueError("stop='reach' needs a level")
     if args.stop == "horizon" and not (args.horizon is not None and args.horizon > 0):

@@ -41,7 +41,7 @@ from .tree import TreeArena
 DEFAULT_MAX_EVENTS = 1_000_000
 DEFAULT_MAX_VERTICES = 500_000
 DEFAULT_BRW_POP_CAP = 1_000_000
-STAR_TABLE_MAX_LEAVES = 100_000
+STAR_TABLE_MAX_LEAVES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +337,11 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
         raise ValueError("lambda must be finite and >= 0")
     if init.n != n:
         raise ValueError(f"start state is on a star with {init.n} leaves, not {n}")
-    if replicas < 1 or (level is not None and level < 1):
-        raise ValueError("replicas and level must be >= 1")
+    if level is not None and level < 1:
+        raise ValueError("level must be >= 1")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if n > STAR_TABLE_MAX_LEAVES:   # the per-state tables peak near 330 bytes a leaf
+    if n > STAR_TABLE_MAX_LEAVES:   # the per-state tables peak near 150 bytes a leaf
         raise TooLarge(f"star size {n} exceeds the cap {STAR_TABLE_MAX_LEAVES}")
     j, m = np.divmod(np.arange(2 * (n + 1)), 2)   # code 2j + center
     r_up = lam * (n - j) * m
@@ -351,8 +351,7 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
     total = r_up + r_down + r_coff + r_con
     c2, c3 = r_up + r_down, r_up + r_down + r_coff
     move = np.array([2, -2, -1, 1])         # up, down, center off, center on
-    stop = j >= (n + 1 if level is None else level)
-    stop[0] = True                          # (0, 0) is absorbing
+    stop = (j + m == 0) | (j >= (level or n + 1))   # absorbed at (0, 0), or reached
 
     rng = stream(seed)
     times, peaks = np.zeros(replicas), np.full(replicas, init.j, dtype=np.int64)

@@ -188,10 +188,12 @@ def test_star_bad_input_is_a_usage_error(capsys):
             (["--lambda", "-1"], "lambda must be finite and >= 0"),
             (["--lambda", "nan"], "lambda must be finite and >= 0"),
             (["--lambda", "inf"], "lambda must be finite and >= 0"),
-            (["--lambda", "0.5", "--replicas", "-3"], "replicas and level must be >= 1"),
-            (["--lambda", "0.5", "--stop", "reach", "--level", "-2"],
-             "replicas and level must be >= 1"),
-            (["--lambda", "0.5", "--stop", "reach"], "stop='reach' needs a level")):
+            (["--lambda", "0.5", "--replicas", "-3"], "replicas must be >= 1"),
+            (["--lambda", "0.5", "--replicas", "0"], "replicas must be >= 1"),
+            (["--lambda", "0.5", "--stop", "reach", "--level", "-2"], "level must be >= 1"),
+            (["--lambda", "0.5", "--stop", "reach"], "stop='reach' needs a level"),
+            (["--lambda", "0.5", "--stop", "horizon"],
+             "stop='horizon' needs a positive horizon")):
         assert main(base + argv) == 1, argv
         captured = capsys.readouterr()
         assert f"usage error: {message}" in captured.err, argv

@@ -114,6 +114,12 @@ def test_star_batch_from_absorbed_state():
         "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1"
 
 
+def test_star_batch_empty_batch():
+    times, peaks = star_batch(5, 0.5, StarState(5, 0, 1), 0)
+    assert times.shape == peaks.shape == (0,)
+    assert times.dtype == np.float64 and peaks.dtype == np.int64
+
+
 @pytest.mark.parametrize("fixture,horizon,seed,digest", GRAPH_GOLDEN)
 def test_contact_graph_batch_golden_outputs(fixture, horizon, seed, digest):
     graph, lam, root = GRAPH_FIXTURES[fixture]
@@ -377,9 +383,8 @@ def test_star_stop_parameter_validation():
     for lam in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             star_runs(5, lam, init, 10)
-    for replicas in (0, -3):
-        with pytest.raises(ValueError):
-            star_runs(5, 0.5, init, replicas)
+    with pytest.raises(ValueError):
+        star_runs(5, 0.5, init, -3)
     with pytest.raises(ValueError):
         star_runs(5, 0.5, StarState(10, 8, 1), 10)
     big = sim.STAR_TABLE_MAX_LEAVES + 1
