@@ -34,7 +34,7 @@ class DegenerateLeadingCoefficient(PertreeError):
 
 
 class LimitExceeded(PertreeError):
-    """Requested walk length exceeds the configured maximum."""
+    """A walk length or a batch engine's step count exceeds its configured maximum."""
 
 
 class SolveFailure(PertreeError):

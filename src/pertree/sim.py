@@ -25,6 +25,7 @@ integral, is also the only star simulator behind ``pertree star``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import PeriodicDegreeSequence
-from .errors import BracketFailure, TooLarge
+from .errors import BracketFailure, LimitExceeded, TooLarge
 from .oracle import GRAPH_MAX_STATES
 from .rng import stream
 from .tree import TreeArena
@@ -42,6 +43,7 @@ DEFAULT_MAX_EVENTS = 1_000_000
 DEFAULT_MAX_VERTICES = 500_000
 DEFAULT_BRW_POP_CAP = 1_000_000
 STAR_TABLE_MAX_LEAVES = 1_000_000
+STAR_MAX_STEPS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +334,7 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
     applied.  Returns (stop_times, peak_leaf_counts, leaf_times), the last
     being the integral of j up to the stop.  One counter-based generator
     drives the whole batch; the result is deterministic in the arguments.
+    A batch still live after ``STAR_MAX_STEPS`` steps raises ``LimitExceeded``.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and >= 0")
@@ -359,7 +362,9 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
     code = np.full(replicas, 2 * init.j + init.center)
     live = np.flatnonzero(~stop[code])
     code, t, peak, area = code[live], times[live], code[live], leaf_time[live]
-    while live.size:
+    for _ in range(STAR_MAX_STEPS):
+        if not live.size:
+            break
         rate = total.take(code)
         dt = rng.standard_exponential(live.size) / rate
         u = rng.random(live.size) * rate
@@ -386,6 +391,8 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
             leaf_time[out] = area.take(gone)
             live, code, t, peak, area = (a.take(keep) for a in
                                          (live, code, t, peak, area))
+    if live.size:
+        raise LimitExceeded(f"star batch still live after {STAR_MAX_STEPS} steps")
     return times, peaks, leaf_time
 
 
@@ -402,7 +409,8 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
     """Vectorized contact process on a small explicit graph, run to extinction.
 
     Returns (extinction_times, root_reinfection_counts).  Used to cross-check
-    the event engine against the exact subset-chain oracle at scale.
+    the event engine against the exact subset-chain oracle at scale.  A batch
+    still live after ``max_steps`` steps raises ``LimitExceeded``.
     """
     verts = sorted(neighbors)
     vmap = {v: i for i, v in enumerate(verts)}
@@ -435,12 +443,14 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
         col = (thr[code] < u[:, None]).sum(axis=1)
         code ^= 1 << col % nv
         visits += col == nv + r
-        keep = (code != 0) & (t < horizon)
-        if not keep.all():
-            times[live[~keep]], visit_counts[live[~keep]] = t[~keep], visits[~keep]
-            live, code, t, visits = (a[keep] for a in (live, code, t, visits))
-    else:
-        raise RuntimeError("graph batch exceeded the step budget")
+        done = (code == 0) | (t >= horizon)
+        if done.any():
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            out = live.take(gone)
+            times[out], visit_counts[out] = t.take(gone), visits.take(gone)
+            live, code, t, visits = (a.take(keep) for a in (live, code, t, visits))
+    if live.size:
+        raise LimitExceeded(f"graph batch still live after {max_steps} steps")
     return times, visit_counts
 
 
@@ -448,9 +458,9 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
 # Replica orchestration, survival curves, threshold bisection
 
 
-def _replica_chunk(config: SimConfig, lo: int, hi: int, substream: int):
+def _replica_chunk(config: SimConfig, indices: range, substream: int):
     runner = run_contact if config.mode == "contact" else run_brw
-    return [runner(config, replica=i, substream=substream) for i in range(lo, hi)]
+    return [runner(config, replica=i, substream=substream) for i in indices]
 
 
 def worker_count() -> int:
@@ -462,23 +472,25 @@ def worker_count() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def run_replicas(config: SimConfig, substream: int = 0) -> list[SimOutcome]:
-    """All replicas of a config, ordered by replica index.
+def run_replicas(config: SimConfig, substream: int = 0,
+                 indices: range | None = None) -> list[SimOutcome]:
+    """The replicas of a config (all, or those in ``indices``), ordered by index.
 
     Replicas are independent work items; with CP_THREADS > 1 they run in
     a process pool.  Results are identical either way because each replica
     owns its stream and aggregation is by index.
     """
+    if indices is None:
+        indices = range(config.replicas)
     workers = worker_count()
-    n = config.replicas
+    n = len(indices)
     if workers == 1 or n < 2 * workers:
-        return _replica_chunk(config, 0, n, substream)
+        return _replica_chunk(config, indices, substream)
     from concurrent.futures import ProcessPoolExecutor
     chunk = (n + workers - 1) // workers
-    spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+    spans = [indices[i:i + chunk] for i in range(0, n, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_replica_chunk, [config] * len(spans),
-                         [s[0] for s in spans], [s[1] for s in spans],
+        parts = pool.map(_replica_chunk, [config] * len(spans), spans,
                          [substream] * len(spans))
         return [outcome for part in parts for outcome in part]
 
@@ -519,6 +531,21 @@ class Lambda2Protocol:
     max_vertices: int = DEFAULT_MAX_VERTICES
     brw_population_cap: int = DEFAULT_BRW_POP_CAP
 
+    def __post_init__(self):
+        # A tolerance <= 0 never ends the bisection once lo == hi.
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
+        if not 0 < self.target_probability <= 1:
+            raise ValueError("target probability must be in (0, 1]")
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        if not self.horizon > 0:
+            raise ValueError("horizon must be positive")
+        if self.criterion not in ("global", "local"):
+            raise ValueError(f"unknown criterion {self.criterion!r}")
+        if self.mode not in ("contact", "brw"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+
 
 def estimate_lambda2(seq: PeriodicDegreeSequence,
                      protocol: Lambda2Protocol,
@@ -528,28 +555,59 @@ def estimate_lambda2(seq: PeriodicDegreeSequence,
     Returns a bracketing interval of width <= the protocol tolerance; the
     whole procedure is deterministic in the protocol seed (each bisection
     step uses its own substream).
+
+    Each step needs one bit: does the survival estimate p = s / replicas
+    pass the target (``p > target`` at the lower bracket, ``p >= target`` at
+    the upper bracket and at every midpoint)?  That holds exactly when the
+    survivor count s reaches ``need``, the least count that passes, found
+    with the same float expression.  Replicas run in index order, in
+    ``run_replicas`` batches (pooled when large enough), and stop as soon as
+    s >= need, or as soon as s plus the replicas not yet run falls short of
+    need.  Replica i draws from its own stream (seed, i, substream), so the
+    replicas that do run give the same survivors as in a full sample, and
+    the bit, the bracket and every ``BracketFailure`` are those of running
+    all replicas.  Only the replicas that cannot change the bit are skipped.
     """
     if protocol.lam_hi < protocol.lam_lo:
         raise BracketFailure("upper bracket below lower bracket")
+    replicas, target = protocol.replicas, protocol.target_probability
 
-    def prob(lam: float, substream: int) -> float:
-        est = survival_curve(seq, lam, protocol.horizon, protocol.replicas,
-                             protocol.seed, protocol.criterion, protocol.mode,
-                             root_residue, protocol.max_events,
-                             protocol.max_vertices,
-                             protocol.brw_population_cap, substream)
-        return est.probability
+    def need(rule) -> int:
+        # p = s / replicas is non-decreasing in s; replicas + 1 if no s passes.
+        return bisect.bisect_left(range(replicas + 1), True,
+                                  key=lambda s: rule(s / replicas))
 
-    target = protocol.target_probability
-    if prob(protocol.lam_lo, 0) > target:
+    above = need(lambda p: p > target)
+    at_least = need(lambda p: p >= target)
+
+    def reaches(lam: float, substream: int, count: int) -> bool:
+        """Whether at least ``count`` of the replicas at ``lam`` survive."""
+        config = SimConfig(seq, lam, protocol.horizon, root_residue,
+                           protocol.max_events, protocol.max_vertices,
+                           protocol.seed, replicas, protocol.mode,
+                           protocol.brw_population_cap)
+        survivors, ran = 0, 0
+        while 0 < count - survivors <= replicas - ran:
+            # A batch never outruns the verdict: it takes `short` more
+            # survivors to settle yes, and one death more than the slack
+            # left after those to settle no.
+            short = count - survivors
+            batch = min(short, replicas - ran - short + 1)
+            outcomes = run_replicas(config, substream, range(ran, ran + batch))
+            survivors += sum(o.survived(protocol.criterion, protocol.horizon)
+                             for o in outcomes)
+            ran += batch
+        return survivors >= count
+
+    if reaches(protocol.lam_lo, 0, above):
         raise BracketFailure("survival already above target at the lower bracket")
-    if prob(protocol.lam_hi, 1) < target:
+    if not reaches(protocol.lam_hi, 1, at_least):
         raise BracketFailure("survival below target at the upper bracket")
     lo, hi = protocol.lam_lo, protocol.lam_hi
     substream = 2
     while hi - lo > protocol.tolerance:
         mid = 0.5 * (lo + hi)
-        if prob(mid, substream) >= target:
+        if reaches(mid, substream, at_least):
             hi = mid
         else:
             lo = mid

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pertree import sim
 from pertree.cli import main
 
 
@@ -317,3 +318,9 @@ def test_capacity_exit_code(capsys):
     edges = ",".join(f"0-{i}" for i in range(1, 15))   # 15 vertices
     assert main(["oracle", "--edges", edges, "--lambda", "0.5"]) == 3
     capsys.readouterr()
+
+
+def test_star_step_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(sim, "STAR_MAX_STEPS", 1_000)
+    assert main(["star", "--n", "60", "--lambda", "1.0", "--replicas", "100"]) == 3
+    assert "star batch still live after 1000 steps" in capsys.readouterr().err

@@ -5,13 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_perfbench_traced_smoke_run():
-    # A renamed function that the tracer patches by name breaks this run.
+@pytest.mark.parametrize("workload", ["brw-34", "lambda2-1-100"])
+def test_perfbench_traced_smoke_run(workload):
+    # A renamed function that the tracer patches by name breaks this run.  On
+    # lambda2-1-100 the run also checks each bracket's ratio and that a pooled
+    # survival point (CP_THREADS=2) matches the serial one.
     result = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "brw-34", "--seconds", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1",
          "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=180)
     assert result.returncode == 0, result.stderr

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from pertree.bounds import lambda2_asymptotic, lambda_g
 from pertree.degrees import PeriodicDegreeSequence
-from pertree.errors import BracketFailure, TooLarge
+from pertree.errors import BracketFailure, LimitExceeded, TooLarge
 from pertree import sim
 from pertree.oracle import exact_contact_small, star_mean_absorption
 from pertree.sim import (
@@ -136,12 +136,37 @@ def test_contact_graph_batch_size_cap():
     assert (times > 0).all()
 
 
+def test_contact_graph_batch_step_budget():
+    g = {0: [1], 1: [0]}
+    with pytest.raises(LimitExceeded):
+        contact_graph_batch(g, 5.0, 0, 100, seed=1, max_steps=3)
+    times, _ = contact_graph_batch(g, 5.0, 0, 100, seed=1)
+    assert (times > 0).all()
+
+
+def test_star_runs_step_budget(monkeypatch):
+    monkeypatch.setattr(sim, "STAR_MAX_STEPS", 100)
+    with pytest.raises(LimitExceeded):
+        star_runs(60, 1.0, StarState(60, 0, 1), 10, seed=1)
+    times, _, _ = star_runs(60, 1.0, StarState(60, 0, 1), 10, seed=1, horizon=0.5)
+    assert (times <= 0.5).all()
+
+
 def test_run_replicas_parallel_matches_serial(monkeypatch):
     c = config(replicas=8, seed=5)
     serial = run_replicas(c)
     monkeypatch.setenv("CP_THREADS", "2")
     parallel = run_replicas(c)
     assert parallel == serial
+
+
+def test_run_replicas_index_range(monkeypatch):
+    c = config(replicas=12, seed=5)
+    full = run_replicas(c)
+    assert run_replicas(c, indices=range(3, 11)) == full[3:11]
+    assert run_replicas(c, indices=range(0)) == []
+    monkeypatch.setenv("CP_THREADS", "2")
+    assert run_replicas(c, indices=range(3, 11)) == full[3:11]
 
 
 def test_worker_count_capped_at_core_count(monkeypatch):
@@ -517,19 +542,130 @@ def test_brw_survival_against_global_threshold():
 # Threshold bisection
 
 
+def reference_lambda2(seq, protocol, root_residue=0):
+    """The full-sample rule: every replica of a step runs and p-hat meets the target."""
+    def prob(lam, substream):
+        return survival_curve(seq, lam, protocol.horizon, protocol.replicas,
+                              protocol.seed, protocol.criterion, protocol.mode,
+                              root_residue, protocol.max_events,
+                              protocol.max_vertices, protocol.brw_population_cap,
+                              substream).probability
+
+    target = protocol.target_probability
+    if prob(protocol.lam_lo, 0) > target:
+        raise BracketFailure("survival already above target at the lower bracket")
+    if prob(protocol.lam_hi, 1) < target:
+        raise BracketFailure("survival below target at the upper bracket")
+    lo, hi, substream = protocol.lam_lo, protocol.lam_hi, 2
+    while hi - lo > protocol.tolerance:
+        mid = 0.5 * (lo + hi)
+        if prob(mid, substream) >= target:
+            hi = mid
+        else:
+            lo = mid
+        substream += 1
+    return lo, hi
+
+
+def lambda2_protocol(n, seed, **kw):
+    """The benchmark's (1,n) protocol, at a shorter horizon unless overridden."""
+    pred = math.sqrt(0.5 * math.log(n) / n)
+    base = dict(lam_lo=0.3 * pred, lam_hi=4.0 * pred, horizon=60.0, replicas=30,
+                seed=seed, tolerance=0.1 * pred, max_events=5_000)
+    base.update(kw)
+    return Lambda2Protocol(**base)
+
+
+HOT = Lambda2Protocol(lam_lo=1.0, lam_hi=2.0, horizon=10.0, replicas=100, seed=1,
+                      max_events=500)
+COLD = Lambda2Protocol(lam_lo=0.0, lam_hi=0.001, horizon=10.0, replicas=100, seed=1)
+
+
 def test_estimate_lambda2_bracket_failures():
     proto = Lambda2Protocol(lam_lo=0.5, lam_hi=0.2, horizon=10.0,
                             replicas=100, seed=1)
     with pytest.raises(BracketFailure):
         estimate_lambda2(seq(3, 4), proto)
-    hot = Lambda2Protocol(lam_lo=1.0, lam_hi=2.0, horizon=10.0, replicas=100,
-                          seed=1, max_events=500)
     with pytest.raises(BracketFailure):
-        estimate_lambda2(seq(3, 4), hot)
-    cold = Lambda2Protocol(lam_lo=0.0, lam_hi=0.001, horizon=10.0,
-                           replicas=100, seed=1)
+        estimate_lambda2(seq(3, 4), HOT)
     with pytest.raises(BracketFailure):
-        estimate_lambda2(seq(3, 4), cold)
+        estimate_lambda2(seq(3, 4), COLD)
+
+
+@pytest.mark.parametrize("protocol", [HOT, COLD], ids=["hot", "cold"])
+def test_estimate_lambda2_bracket_failure_matches_full_sample(protocol):
+    with pytest.raises(BracketFailure) as full:
+        reference_lambda2(seq(3, 4), protocol)
+    with pytest.raises(BracketFailure) as decided:
+        estimate_lambda2(seq(3, 4), protocol)
+    assert str(decided.value) == str(full.value)
+
+
+@pytest.mark.parametrize("degrees,root_residue,make", [
+    ((1, 50), 0, lambda s: lambda2_protocol(50, s)),
+    ((1, 100), 0, lambda s: lambda2_protocol(100, s)),
+    ((1, 100), 1, lambda s: lambda2_protocol(100, s)),
+    ((3, 4), 0, lambda s: Lambda2Protocol(lam_lo=0.05, lam_hi=0.9, horizon=10.0,
+                                          replicas=40, seed=s, tolerance=0.05,
+                                          target_probability=0.2,
+                                          criterion="global", max_events=2_000)),
+    ((3, 4), 0, lambda s: Lambda2Protocol(lam_lo=0.1, lam_hi=0.6, horizon=20.0,
+                                          replicas=40, seed=s, tolerance=0.05,
+                                          mode="brw", brw_population_cap=300,
+                                          max_events=2_000)),
+    # p-hat can equal the target: 2 of 20 is exactly 0.1.  At target 1 with a
+    # horizon too short for any event, every replica survives, so each step
+    # is settled only by its last replica, and p-hat = 1 does not exceed the
+    # target at the lower bracket.
+    ((1, 50), 0, lambda s: lambda2_protocol(50, s, replicas=20, target_probability=0.1)),
+    ((3, 4), 0, lambda s: Lambda2Protocol(lam_lo=0.1, lam_hi=2.0, horizon=1e-9,
+                                          replicas=20, seed=s, tolerance=0.1,
+                                          target_probability=1.0,
+                                          criterion="global")),
+], ids=["1-50-local", "1-100-local", "1-100-residue1", "34-global", "34-brw",
+        "1-50-exact-target", "34-target-1"])
+def test_estimate_lambda2_matches_full_sample_rule(degrees, root_residue, make):
+    for s in (3, 4, 5):
+        protocol = make(s)
+        assert (estimate_lambda2(seq(*degrees), protocol, root_residue)
+                == reference_lambda2(seq(*degrees), protocol, root_residue)), s
+
+
+def test_estimate_lambda2_pooled_matches_serial(monkeypatch):
+    # 10% of 100 replicas: the first batches hold 10 replicas, enough to pool.
+    protocol = lambda2_protocol(50, 6, replicas=100, target_probability=0.1)
+    serial = estimate_lambda2(seq(1, 50), protocol)
+    monkeypatch.setenv("CP_THREADS", "2")
+    assert estimate_lambda2(seq(1, 50), protocol) == serial
+
+
+def test_estimate_lambda2_upper_bracket_stops_early(monkeypatch):
+    calls = []
+
+    def counting(config, replica=0, substream=0, audit=False):
+        calls.append(substream)
+        return run_contact(config, replica, substream, audit)
+
+    monkeypatch.setattr(sim, "run_contact", counting)
+    protocol = lambda2_protocol(100, 7)
+    estimate_lambda2(seq(1, 100), protocol)
+    # substream 1 is the upper-bracket check at 4 * pred
+    assert 0 < calls.count(1) < protocol.replicas
+
+
+@pytest.mark.parametrize("field,values", [
+    ("tolerance", [0.0, -1.0, math.nan, math.inf]),
+    ("target_probability", [0.0, -0.1, 1.5, math.nan]),
+    ("replicas", [0, -3]),
+    ("horizon", [0.0, -1.0, math.nan]),
+    ("criterion", ["loca"]),
+    ("mode", ["sir"]),
+])
+def test_lambda2_protocol_rejects_bad_field(field, values):
+    for value in values:
+        with pytest.raises(ValueError):
+            Lambda2Protocol(**{"lam_lo": 0.1, "lam_hi": 0.5, "horizon": 10.0,
+                               "replicas": 10, "seed": 1, field: value})
 
 
 def test_estimate_lambda2_small_instance():
