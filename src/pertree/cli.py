@@ -27,19 +27,7 @@ from .bounds import (
     lambda_ell_lower_period3,
 )
 from .degrees import PeriodicDegreeSequence
-from .errors import (
-    BracketFailure,
-    CapacityExceeded,
-    DegenerateLeadingCoefficient,
-    InvalidShape,
-    LimitExceeded,
-    NonConvergence,
-    NoPositiveSolution,
-    NoRealSolution,
-    SolveFailure,
-    Subcritical,
-    TooLarge,
-)
+from .errors import CapacityError, NumericalError
 from .oracle import enumerate_closed_walks, exact_contact_small, star_mean_absorption
 from .sim import (
     DEFAULT_BRW_POP_CAP,
@@ -58,11 +46,6 @@ PERIOD3_TABLE_ROWS = [(2, 3, 4), (3, 4, 5), (4, 6, 8), (6, 8, 10)]
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
 CAPACITY_EXIT = 3
-
-_CAPACITY_ERRORS = (CapacityExceeded, LimitExceeded, TooLarge)
-_NUMERICAL_ERRORS = (NonConvergence, Subcritical, NoRealSolution,
-                     NoPositiveSolution, InvalidShape, SolveFailure,
-                     BracketFailure, DegenerateLeadingCoefficient)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -477,10 +460,10 @@ def main(argv: list[str] | None = None) -> int:
         _merge_config(args)
         _apply_defaults(args, defaults)
         return args.func(args)
-    except _CAPACITY_ERRORS as exc:
+    except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
         return CAPACITY_EXIT
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return NUMERICAL_EXIT
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -43,7 +43,7 @@ DEFAULT_MAX_EVENTS = 1_000_000
 DEFAULT_MAX_VERTICES = 500_000
 DEFAULT_BRW_POP_CAP = 1_000_000
 STAR_TABLE_MAX_LEAVES = 1_000_000
-STAR_MAX_STEPS = 1_000_000
+BATCH_MAX_STEPS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
     applied.  Returns (stop_times, peak_leaf_counts, leaf_times), the last
     being the integral of j up to the stop.  One counter-based generator
     drives the whole batch; the result is deterministic in the arguments.
-    A batch still live after ``STAR_MAX_STEPS`` steps raises ``LimitExceeded``.
+    A batch still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and >= 0")
@@ -362,7 +362,7 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
     code = np.full(replicas, 2 * init.j + init.center)
     live = np.flatnonzero(~stop[code])
     code, t, peak, area = code[live], times[live], code[live], leaf_time[live]
-    for _ in range(STAR_MAX_STEPS):
+    for _ in range(BATCH_MAX_STEPS):
         if not live.size:
             break
         rate = total.take(code)
@@ -392,7 +392,7 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
             live, code, t, peak, area = (a.take(keep) for a in
                                          (live, code, t, peak, area))
     if live.size:
-        raise LimitExceeded(f"star batch still live after {STAR_MAX_STEPS} steps")
+        raise LimitExceeded(f"star batch still live after {BATCH_MAX_STEPS} steps")
     return times, peaks, leaf_time
 
 
@@ -403,15 +403,15 @@ def star_batch(n: int, lam: float, init: StarState, replicas: int,
 
 
 def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
-                        replicas: int, seed: int = 0,
-                        horizon: float = math.inf,
-                        max_steps: int = 10_000_000):
+                        replicas: int, seed: int = 0):
     """Vectorized contact process on a small explicit graph, run to extinction.
 
     Returns (extinction_times, root_reinfection_counts).  Used to cross-check
     the event engine against the exact subset-chain oracle at scale.  A batch
-    still live after ``max_steps`` steps raises ``LimitExceeded``.
+    still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
     """
+    if root not in neighbors:
+        raise ValueError(f"root {root} is not a vertex of the graph")
     verts = sorted(neighbors)
     vmap = {v: i for i, v in enumerate(verts)}
     nv = len(verts)
@@ -434,7 +434,7 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
     live, code = np.arange(replicas), np.full(replicas, 1 << r)
     t, visits = np.zeros(replicas), np.zeros(replicas, dtype=np.int64)
     times, visit_counts = t.copy(), visits.copy()
-    for _ in range(max_steps):
+    for _ in range(BATCH_MAX_STEPS):
         if not live.size:
             break
         rate = total[code]
@@ -443,14 +443,14 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
         col = (thr[code] < u[:, None]).sum(axis=1)
         code ^= 1 << col % nv
         visits += col == nv + r
-        done = (code == 0) | (t >= horizon)
+        done = code == 0
         if done.any():
             gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
             out = live.take(gone)
             times[out], visit_counts[out] = t.take(gone), visits.take(gone)
             live, code, t, visits = (a.take(keep) for a in (live, code, t, visits))
     if live.size:
-        raise LimitExceeded(f"graph batch still live after {max_steps} steps")
+        raise LimitExceeded(f"graph batch still live after {BATCH_MAX_STEPS} steps")
     return times, visit_counts
 
 

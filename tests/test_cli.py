@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pertree import sim
+from pertree import errors, sim
 from pertree.cli import main
 
 
@@ -92,6 +92,20 @@ def test_oracle_star(capsys):
     assert code == 0
     assert payload["expected_time_from_center"] == pytest.approx(
         14.81880649062323, rel=1e-9)
+
+
+def test_oracle_star_large_times(capsys):
+    code, out = run(capsys, "oracle", "--star-n", "1000", "--lambda", "1.0")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["expected_time_from_center"] == pytest.approx(
+        1.2332169934876e124, rel=1e-12)
+    assert payload["solve_residual"] < 1e-8
+
+
+def test_oracle_star_overflow_is_a_numerical_error(capsys):
+    assert main(["oracle", "--star-n", "2000", "--lambda", "5.0"]) == 2
+    assert "numerical error: star times overflow" in capsys.readouterr().err
 
 
 def test_oracle_edges(capsys):
@@ -209,6 +223,30 @@ def test_oracle_bad_lambda_is_a_usage_error(capsys):
                 in capsys.readouterr().err
 
 
+def test_oracle_bad_input_is_a_usage_error(capsys):
+    for argv, message in (
+            (["--star-n", "-1"], "star size must be >= 0"),
+            (["--edges", "0-1", "--root", "5"], "root 5 is not a vertex")):
+        assert main(["oracle", *argv, "--lambda", "1.0"]) == 1, argv
+        captured = capsys.readouterr()
+        assert f"usage error: {message}" in captured.err, argv
+        assert "Traceback" not in captured.err and captured.out == "", argv
+
+
+def test_every_error_has_one_exit_family():
+    # The CLI maps CapacityError to exit 3 and NumericalError to exit 2.
+    families = (errors.CapacityError, errors.NumericalError)
+    found, pending = [], list(errors.PertreeError.__subclasses__())
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls not in families:
+            found.append(cls)
+    assert len(found) == 11
+    for cls in found:
+        assert sum(issubclass(cls, f) for f in families) == 1, cls.__name__
+
+
 def test_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"degrees": "3,4", "lambda-grid": "0.1:0.1:0.1",
@@ -321,6 +359,6 @@ def test_capacity_exit_code(capsys):
 
 
 def test_star_step_budget_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(sim, "STAR_MAX_STEPS", 1_000)
+    monkeypatch.setattr(sim, "BATCH_MAX_STEPS", 1_000)
     assert main(["star", "--n", "60", "--lambda", "1.0", "--replicas", "100"]) == 3
     assert "star batch still live after 1000 steps" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """Exact oracles: star absorption solves, subset chains, walk enumeration."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pertree.degrees import PeriodicDegreeSequence
-from pertree.errors import LimitExceeded, TooLarge
+from pertree.errors import LimitExceeded, SolveFailure, TooLarge
 from pertree.oracle import (
     enumerate_closed_walks,
     enumerate_closed_walks_at,
@@ -44,6 +47,76 @@ def test_star_absorption_golden(key):
     assert solve.solve_residual < 1e-8
 
 
+def fraction_star_times(n, lam):
+    """Exact times by Fraction Gaussian elimination in natural code order.
+
+    Shares nothing with the float solve but the chain: unknown x_i for code
+    i = 2j + center, i >= 1, with x_0 = 0; the band has half-width 2, and the
+    chain's matrix is an M-matrix, so no pivoting is needed.
+    """
+    size = 2 * n + 2
+    rows, rhs = {}, {}
+    for i in range(1, size):
+        j, center = divmod(i, 2)
+        rates = {i + 1: lam * j * (1 - center), i + 2: lam * (n - j) * center,
+                 i - 1: center, i - 2: j}
+        row = {i: sum(rates.values(), Fraction(0))}
+        for k, rate in rates.items():
+            if rate and k >= 1:
+                row[k] = row.get(k, 0) - rate
+        rows[i], rhs[i] = row, Fraction(1)
+    for p in range(1, size):
+        for q in range(p + 1, min(p + 3, size)):
+            if p in rows[q]:
+                f = rows[q].pop(p) / rows[p][p]
+                for k, v in rows[p].items():
+                    if k != p:
+                        rows[q][k] = rows[q].get(k, 0) - f * v
+                rhs[q] -= f * rhs[p]
+    x = [Fraction(0)] * size
+    for p in range(size - 1, 0, -1):
+        known = sum(v * x[k] for k, v in rows[p].items() if k != p)
+        x[p] = (rhs[p] - known) / rows[p][p]
+    return {divmod(i, 2): t for i, t in enumerate(x)}
+
+
+def assert_matches_fraction(n, lam):
+    times = star_mean_absorption(n, float(lam)).expected_time
+    exact = fraction_star_times(n, Fraction(lam))
+    assert times.keys() == exact.keys()
+    for state, t in exact.items():
+        assert abs(Fraction(times[state]) - t) <= 1e-12 * t, state
+
+
+@pytest.mark.parametrize("n,lam", [
+    (n, lam) for n in (10, 100)
+    for lam in (Fraction(3, 10), Fraction(1, 2), Fraction(1))] + [(1000, Fraction(1, 2))])
+def test_star_absorption_matches_fractions(n, lam):
+    assert_matches_fraction(n, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 40),
+       lam=st.fractions(min_value=0, max_value=5, max_denominator=64))
+def test_star_absorption_matches_fractions_property(n, lam):
+    # the reference takes the float lambda exactly, so both solve one chain
+    assert_matches_fraction(n, float(lam))
+
+
+@pytest.mark.parametrize("n,lam", [(100, 1.0), (1000, 0.3), (1000, 0.5), (1000, 1.0)])
+def test_star_absorption_large_points_are_positive(n, lam):
+    # the banded solve raised SolveFailure at these points
+    solve = star_mean_absorption(n, lam)
+    times = [t for state, t in solve.expected_time.items() if state != (0, 0)]
+    assert all(math.isfinite(t) and t > 0 for t in times)
+    assert solve.solve_residual < 1e-8
+
+
+def test_star_absorption_overflow():
+    with pytest.raises(SolveFailure, match="overflow"):
+        star_mean_absorption(2000, 5.0)
+
+
 def test_star_absorption_lambda_zero():
     solve = star_mean_absorption(6, 0.0)
     assert solve.expected_time[(0, 1)] == pytest.approx(1.0, abs=1e-12)
@@ -64,6 +137,12 @@ def test_star_absorption_monotone_in_state():
 def test_star_absorption_too_large():
     with pytest.raises(TooLarge):
         star_mean_absorption(2001, 0.5)
+
+
+def test_star_absorption_bad_size():
+    with pytest.raises(ValueError, match="star size must be >= 0"):
+        star_mean_absorption(-1, 0.5)
+    assert star_mean_absorption(0, 0.5).expected_time == {(0, 0): 0.0, (0, 1): 1.0}
 
 
 def test_lemma4_exponent_trend():
@@ -104,6 +183,11 @@ def test_exact_contact_ball_goldens():
     mt, mv = exact_contact_small(BALL_1_3, 0.8, 0)
     assert mt == pytest.approx(3.0011075523901622, rel=1e-9)
     assert mv == pytest.approx(0.8906874944080515, rel=1e-9)
+
+
+def test_exact_contact_rejects_unknown_root():
+    with pytest.raises(ValueError, match="root 5 is not a vertex"):
+        exact_contact_small({0: [1], 1: [0]}, 1.0, 5)
 
 
 def test_exact_contact_too_large():

@@ -84,9 +84,11 @@ STAR_GOLDEN = [
     (10, 1.0, StarState(10, 4, 0), 3000, 32,
      "b73722a1135369b2171e5454c3e1b103c9c9eda6608550e2b394bb91817e4076"),
 ]
+# The horizon column is math.inf in every row: the graph batch runs to
+# extinction.  It stays so the rows keep their test ids.
 GRAPH_GOLDEN = [
     (0, math.inf, 34, "4a4e01b693d65598f7124fa86df4d90c87cc797fa603f8d94c248e3dbb417789"),
-    (1, 1.5, 35, "919345b32ac48057785f07270308b23485351bab41a4e4f3b2e624d83f9dbdbc"),
+    (1, math.inf, 35, "0686f01427a7578ab356367cee11f0b0d047bee88574cdf672adfd9c06b97c5b"),
     (2, math.inf, 36, "310ab916350a0ce519f34ee9917cba6876bbd1befdc460716927306edf33d943"),
 ]
 
@@ -123,7 +125,7 @@ def test_star_batch_empty_batch():
 @pytest.mark.parametrize("fixture,horizon,seed,digest", GRAPH_GOLDEN)
 def test_contact_graph_batch_golden_outputs(fixture, horizon, seed, digest):
     graph, lam, root = GRAPH_FIXTURES[fixture]
-    out = contact_graph_batch(graph, lam, root, 2000, seed=seed, horizon=horizon)
+    out = contact_graph_batch(graph, lam, root, 2000, seed=seed)
     assert _digest(*out) == digest
 
 
@@ -136,16 +138,22 @@ def test_contact_graph_batch_size_cap():
     assert (times > 0).all()
 
 
-def test_contact_graph_batch_step_budget():
+def test_contact_graph_batch_step_budget(monkeypatch):
     g = {0: [1], 1: [0]}
-    with pytest.raises(LimitExceeded):
-        contact_graph_batch(g, 5.0, 0, 100, seed=1, max_steps=3)
     times, _ = contact_graph_batch(g, 5.0, 0, 100, seed=1)
     assert (times > 0).all()
+    monkeypatch.setattr(sim, "BATCH_MAX_STEPS", 3)
+    with pytest.raises(LimitExceeded, match="graph batch still live after 3 steps"):
+        contact_graph_batch(g, 5.0, 0, 100, seed=1)
+
+
+def test_contact_graph_batch_rejects_unknown_root():
+    with pytest.raises(ValueError, match="root 5 is not a vertex"):
+        contact_graph_batch({0: [1], 1: [0]}, 1.0, 5, 10)
 
 
 def test_star_runs_step_budget(monkeypatch):
-    monkeypatch.setattr(sim, "STAR_MAX_STEPS", 100)
+    monkeypatch.setattr(sim, "BATCH_MAX_STEPS", 100)
     with pytest.raises(LimitExceeded):
         star_runs(60, 1.0, StarState(60, 0, 1), 10, seed=1)
     times, _, _ = star_runs(60, 1.0, StarState(60, 0, 1), 10, seed=1, horizon=0.5)
