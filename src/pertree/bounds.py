@@ -26,10 +26,9 @@ from .errors import (
     Subcritical,
 )
 
-POWER_ITER_MAX_STEPS = 100_000
-POWER_ITER_RTOL = 1e-13
 ROOT_RESIDUAL_RTOL = 1e-9
 WEIGHT_RESIDUAL_ATOL = 1e-10
+DOMINANCE_EPSILON = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -50,23 +49,12 @@ def residue_matrix(seq: PeriodicDegreeSequence) -> np.ndarray:
 
 
 def perron_eigenvalue(matrix: np.ndarray) -> float:
-    """Dominant eigenvalue of a nonnegative irreducible matrix by power iteration.
+    """Dominant eigenvalue of a nonnegative irreducible matrix.
 
-    Iterates on ``A + I`` (primitive, same eigenvectors) and reads the value
-    off the Rayleigh quotient.
+    By Perron-Frobenius the dominant eigenvalue is real and no other
+    eigenvalue has a larger real part, so it is the largest real part.
     """
-    b = matrix + np.eye(matrix.shape[0])
-    v = np.ones(matrix.shape[0])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(POWER_ITER_MAX_STEPS):
-        w = b @ v
-        lam = float(v @ w)
-        v = w / np.linalg.norm(w)
-        if abs(lam - prev) <= POWER_ITER_RTOL * abs(lam):
-            return lam - 1.0
-        prev = lam
-    raise NonConvergence("power iteration did not converge")
+    return float(np.linalg.eigvals(matrix).real.max())
 
 
 def charpoly_perron(seq: PeriodicDegreeSequence) -> float:
@@ -98,7 +86,7 @@ def lambda_g(seq: PeriodicDegreeSequence) -> float:
         ref = charpoly_perron(seq)
         if abs(big - ref) > 1e-9 * ref:
             raise NonConvergence(
-                f"power iteration ({big}) disagrees with closed form ({ref})")
+                f"eigenvalue solve ({big}) disagrees with closed form ({ref})")
     return 1.0 / big
 
 
@@ -164,8 +152,12 @@ def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> CubicRoots:
     shift = c2 / (3.0 * c3)
     p = c1 / c3 - shift * shift * 3.0
     q = 2.0 * shift ** 3 - shift * c1 / c3 + c0 / c3
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    disc_tol = 1e-12 * scale ** 4
+    # A multiple root makes the discriminant's terms cancel, so the test is
+    # relative to the largest term: a cubic dominated by c0 has a discriminant
+    # far below max|c_i|^4 and yet only one real root.
+    disc_tol = 1e-12 * max(abs(18.0 * c3 * c2 * c1 * c0), abs(4.0 * c2 ** 3 * c0),
+                           c2 ** 2 * c1 ** 2, abs(4.0 * c3 * c1 ** 3),
+                           27.0 * c3 ** 2 * c0 ** 2)
 
     if abs(disc) <= disc_tol:
         if p == 0.0 or abs(p) ** 3 <= 27.0 * q * q * 1e-12:
@@ -324,14 +316,13 @@ def harmonicity_residual(seq: PeriodicDegreeSequence, lam: float,
 
 
 def lambda2_asymptotic(seq: PeriodicDegreeSequence,
-                       n_override: int | None = None,
-                       epsilon: float = 0.05) -> tuple[float, float]:
+                       n_override: int | None = None) -> tuple[float, float]:
     """(c, sqrt(c log n / n)) for trees with a single dominant degree n.
 
     The non-dominant counts a_i enter through b = log(prod a_i)/log(n) and
     k = number of non-dominant entries: c = (k - b)/2.  Entries approaching
-    n (max a_i > n^{1-epsilon}) only produce a warning; the formula still
-    evaluates.
+    n (max a_i > n^(1 - DOMINANCE_EPSILON)) only produce a warning; the
+    formula still evaluates.
     """
     degs = list(seq.degrees)
     n = max(degs) if n_override is None else n_override
@@ -342,7 +333,7 @@ def lambda2_asymptotic(seq: PeriodicDegreeSequence,
         raise InvalidShape("need at least one non-dominant entry")
     if n <= 1:
         raise InvalidShape("dominant degree must exceed 1")
-    if max(rest) > n ** (1.0 - epsilon):
+    if max(rest) > n ** (1.0 - DOMINANCE_EPSILON):
         warnings.warn("non-dominant degrees are close to the dominant one; "
                       "the asymptotic prediction may be poor", stacklevel=2)
     k = len(rest)

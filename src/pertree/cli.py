@@ -1,10 +1,10 @@
 """Command-line interface: bounds, tables, predictions, walks, simulations, oracles.
 
-One executable with subcommands.  Run parameters may come from a JSON
-config file (``--config``); explicit flags win.  Every output file is
-paired with a manifest recording the full parameter set, so any run can
-be reproduced exactly.  Exit codes: 0 success, 1 usage, 2 numerical
-failure, 3 capacity/limit.
+One executable with subcommands.  Every option has one default, on its
+flag; a JSON config file (``--config``) replaces those defaults, so an
+explicit flag still wins.  Every output file is paired with a manifest
+recording the full parameter set, so any run can be reproduced exactly.
+Exit codes: 0 success, 1 usage, 2 numerical failure, 3 capacity/limit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
@@ -55,43 +54,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    seed: int | None
-    version: str
-    started: str
-    finished: str = ""
-    outputs: list[str] = field(default_factory=list)
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config; explicit flags win.
+def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A subcommand's options by dest and by flag without dashes (``lam``, ``lambda``)."""
+    return {name: a for a in parser._actions if a.dest != "help"
+            for name in (a.dest, *(f.lstrip("-") for f in a.option_strings))}
 
-    A key is an option's dest or flag without dashes (``lam`` or ``lambda``).
-    A value goes through its option's type and choices, as on the command line.
+
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The JSON config's values by dest, typed and checked as on the command line.
+
+    A key is an option's dest or flag without dashes; a null value is skipped.
     """
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
+    with open(path) as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError(f"config: expected a JSON object, got {type(loaded).__name__}")
+    options = _options(parser)
+    values = {}
     for key, value in loaded.items():
-        action = args._options.get(key)
+        action = options.get(key)
         if action is None:
             raise ValueError(f"config: unknown key {key!r}")
-        if value is None or getattr(args, action.dest) is not None:
+        if value is None:
             continue
         try:
             value = (action.type or str)(str(value))
@@ -100,32 +88,33 @@ def _merge_config(args: argparse.Namespace) -> None:
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config {key!r}: {value!r} is not one of "
                              + ", ".join(map(str, action.choices)))
-        setattr(args, action.dest, value)
+        values[action.dest] = value
+    return values
 
 
 def _require(args: argparse.Namespace, *attrs: str) -> None:
-    missing = [args._options[a].option_strings[0] for a in attrs
+    options = _options(args._parser)
+    missing = [options[a].option_strings[0] for a in attrs
                if getattr(args, a, None) is None]
     if missing:
         raise ValueError("missing required parameters: " + ", ".join(missing))
 
 
-def _apply_defaults(args: argparse.Namespace, defaults: dict) -> None:
-    for attr, value in defaults.items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-
-
-def _emit(text: str, out: str | None, manifest: RunManifest | None) -> None:
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-        if manifest is not None:
-            manifest.finished = _now()
-            manifest.outputs.append(out)
-            manifest.write(out + ".manifest.json")
-    else:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    """Print ``text``, or write it to ``--out`` with a manifest of the run beside it."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    with open(args.out, "w", newline="") as fh:
+        fh.write(text)
+    params = {k: v for k, v in vars(args).items()
+              if k != "func" and not k.startswith("_")}
+    manifest = {"subcommand": args.subcommand, "parameters": params,
+                "seed": getattr(args, "seed", None), "version": __version__,
+                "started": args._started, "finished": _now(), "outputs": [args.out]}
+    with open(args.out + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -174,7 +163,7 @@ def cmd_bounds(args) -> int:
     for note in report.notes:
         lines.append(f"note: {note}")
     text = "\n".join(lines) + "\n" + report.to_json() + "\n"
-    _emit(text, args.out, _manifest(args))
+    _emit(text, args)
     return 0
 
 
@@ -194,7 +183,7 @@ def cmd_table(args) -> int:
             seq = PeriodicDegreeSequence((a, b, c))
             lam_g = 1.0 / charpoly_perron(seq)
             rows.append([a, b, c, f"{lam_g:.4f}", f"{lambda1_upper(seq):.4f}"])
-    _emit(_csv_text(header, rows), args.out, _manifest(args))
+    _emit(_csv_text(header, rows), args)
     return 0
 
 
@@ -208,7 +197,7 @@ def cmd_predict(args) -> int:
         degs = tuple(n if p == "n" else int(p) for p in parts)
         c, pred = lambda2_asymptotic(PeriodicDegreeSequence(degs), n_override=n)
         rows.append([n, repr(c), repr(pred)])
-    _emit(_csv_text(["n", "c", "prediction"], rows), args.out, _manifest(args))
+    _emit(_csv_text(["n", "c", "prediction"], rows), args)
     return 0
 
 
@@ -219,17 +208,14 @@ def cmd_walks(args) -> int:
     for n, (count, root, rmax) in enumerate(
             zip(table.counts, table.roots, table.running_max()), start=1):
         rows.append([n, str(count), repr(root), repr(rmax)])
-    _emit(_csv_text(["n", "count", "root", "running_max"], rows),
-          args.out, _manifest(args))
+    _emit(_csv_text(["n", "count", "root", "running_max"], rows), args)
     return 0
 
 
 def cmd_simulate(args) -> int:
     _require(args, "degrees", "lam", "horizon")
     seq = PeriodicDegreeSequence.parse(args.degrees)
-    config = SimConfig(seq, args.lam, args.horizon, args.root_residue,
-                       args.max_events, args.max_vertices, args.seed,
-                       args.replicas, args.mode, args.brw_population_cap)
+    config = SimConfig(seq, args.lam, **_run_options(args))
     rows = []
     survived_global = 0
     for i, outcome in enumerate(run_replicas(config)):
@@ -249,7 +235,7 @@ def cmd_simulate(args) -> int:
     summary = {"degrees": str(seq), "lambda": args.lam, "horizon": args.horizon,
                "replicas": args.replicas, "seed": args.seed, "mode": args.mode,
                "survived_global": survived_global}
-    _emit(_csv_text(header, rows), args.out, _manifest(args))
+    _emit(_csv_text(header, rows), args)
     if args.out:
         with open(args.out + ".summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
@@ -276,7 +262,7 @@ def cmd_star(args) -> int:
                "reach" if level is not None and peak >= level else "absorb")
         rows.append([i, hit, repr(t), peak, repr(area / t if t else 0.0)])
     _emit(_csv_text(["replica", "hit", "time", "peak", "time_avg_leaves"], rows),
-          args.out, _manifest(args))
+          args)
     return 0
 
 
@@ -285,16 +271,12 @@ def cmd_sweep(args) -> int:
     seq = PeriodicDegreeSequence.parse(args.degrees)
     rows = []
     for lam in _parse_grid(args.lambda_grid):
-        est = survival_curve(seq, lam, args.horizon, args.replicas, args.seed,
-                             criterion=args.criterion, mode=args.mode,
-                             root_residue=args.root_residue,
-                             max_events=args.max_events,
-                             max_vertices=args.max_vertices,
-                             brw_population_cap=args.brw_population_cap)
+        est = survival_curve(seq, lam, criterion=args.criterion,
+                             **_run_options(args))
         rows.append([repr(est.lam), repr(est.probability), repr(est.ci_low),
                      repr(est.ci_high), est.replicas])
     header = ["lambda", "probability", "ci_low", "ci_high", "replicas"]
-    _emit(_csv_text(header, rows), args.out, _manifest(args))
+    _emit(_csv_text(header, rows), args)
     return 0
 
 
@@ -323,26 +305,39 @@ def cmd_oracle(args) -> int:
                    "two_n": args.two_n, "count": count}
     else:
         raise ValueError("oracle needs --star-n, --edges or --enumerate-degrees")
-    _emit(json.dumps(payload, indent=2) + "\n", args.out, _manifest(args))
+    _emit(json.dumps(payload, indent=2) + "\n", args)
     return 0
-
-
-def _manifest(args) -> RunManifest:
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "defaults") and not k.startswith("_")}
-    return RunManifest(args.subcommand, params, getattr(args, "seed", None),
-                       __version__, _now())
 
 
 # ---------------------------------------------------------------------------
 # Argument wiring
 
 
-def _add_common(sub, *, config=True):
+RUN_OPTIONS = ("horizon", "replicas", "seed", "mode", "root_residue",
+               "max_events", "max_vertices", "brw_population_cap")
+
+
+def _add_run_flags(sub, *, replicas: int) -> None:
+    """The flags of ``RUN_OPTIONS``, shared by simulate and sweep."""
+    sub.add_argument("--horizon", type=float)
+    sub.add_argument("--replicas", type=int, default=replicas)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--mode", choices=["contact", "brw"], default="contact")
+    sub.add_argument("--root-residue", type=int, default=0)
+    sub.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
+    sub.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    sub.add_argument("--brw-population-cap", type=int, default=DEFAULT_BRW_POP_CAP)
+
+
+def _run_options(args) -> dict:
+    """The shared run flags as keywords of ``SimConfig`` and ``survival_curve``."""
+    return {name: getattr(args, name) for name in RUN_OPTIONS}
+
+
+def _add_common(sub):
     sub.add_argument("--out", default=None, help="write output (and a manifest) here")
-    if config:
-        sub.add_argument("--config", default=None,
-                         help="JSON file with defaults; flags win")
+    sub.add_argument("--config", default=None,
+                     help="JSON file of option defaults; flags win")
 
 
 def build_parser() -> _Parser:
@@ -350,20 +345,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    defaults: dict[str, dict] = {}
-
-    p = subs.add_parser("bounds", parents=[], help="closed-form bounds")
+    p = subs.add_parser("bounds", help="closed-form bounds")
     p.add_argument("--degrees", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
-    defaults["bounds"] = {}
 
     p = subs.add_parser("table", help="regenerate the period-3 reference tables")
     p.add_argument("--which", choices=["period3_x0", "period3_lambda1"],
                    required=True)
     _add_common(p)
     p.set_defaults(func=cmd_table)
-    defaults["table"] = {}
 
     p = subs.add_parser("predict", help="asymptotic lambda_2 predictions")
     p.add_argument("--degrees", required=True,
@@ -371,7 +362,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-range", required=True, help="start:stop:step")
     _add_common(p)
     p.set_defaults(func=cmd_predict)
-    defaults["predict"] = {}
 
     p = subs.add_parser("walks", help="closed-walk counts and growth roots")
     p.add_argument("--degrees", required=True)
@@ -379,27 +369,13 @@ def build_parser() -> _Parser:
     p.add_argument("--residue", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_walks)
-    defaults["walks"] = {}
-
-    sim_defaults = dict(root_residue=0, max_events=DEFAULT_MAX_EVENTS,
-                        max_vertices=DEFAULT_MAX_VERTICES,
-                        brw_population_cap=DEFAULT_BRW_POP_CAP,
-                        seed=0, replicas=1, mode="contact")
 
     p = subs.add_parser("simulate", help="per-replica simulation records")
     p.add_argument("--degrees")
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["contact", "brw"])
-    p.add_argument("--root-residue", type=int)
-    p.add_argument("--max-events", type=int)
-    p.add_argument("--max-vertices", type=int)
-    p.add_argument("--brw-population-cap", type=int)
+    _add_run_flags(p, replicas=1)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
-    defaults["simulate"] = dict(sim_defaults)
 
     p = subs.add_parser("star", help="star-graph chain runs")
     p.add_argument("--n", type=int, required=True)
@@ -410,27 +386,18 @@ def build_parser() -> _Parser:
                    default="absorb")
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_star)
-    defaults["star"] = dict(seed=0, replicas=1)
 
     p = subs.add_parser("sweep", help="survival curve over a lambda grid")
     p.add_argument("--degrees")
     p.add_argument("--lambda-grid", help="start:stop:step")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--criterion", choices=["global", "local"])
-    p.add_argument("--mode", choices=["contact", "brw"])
-    p.add_argument("--root-residue", type=int)
-    p.add_argument("--max-events", type=int)
-    p.add_argument("--max-vertices", type=int)
-    p.add_argument("--brw-population-cap", type=int)
+    _add_run_flags(p, replicas=100)
+    p.add_argument("--criterion", choices=["global", "local"], default="global")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
-    defaults["sweep"] = dict(sim_defaults, criterion="global", replicas=100)
 
     p = subs.add_parser("oracle", help="exact small-instance solves")
     p.add_argument("--star-n", type=int, default=None)
@@ -442,23 +409,22 @@ def build_parser() -> _Parser:
     p.add_argument("--two-n", type=int, default=4)
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
-    defaults["oracle"] = {}
 
     for sub in subs.choices.values():
-        sub.set_defaults(_options={
-            name: a for a in sub._actions if a.dest != "help"
-            for name in (a.dest, *(f.lstrip("-") for f in a.option_strings))})
-    parser.set_defaults(_defaults_map=defaults)
+        sub.set_defaults(_parser=sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = args._defaults_map.get(args.subcommand, {})
     try:
-        _merge_config(args)
-        _apply_defaults(args, defaults)
+        if args.config:
+            # The config's values become the subcommand's defaults, so a
+            # second parse keeps every flag given on the command line.
+            args._parser.set_defaults(**_read_config(args._parser, args.config))
+            args = parser.parse_args(argv)
+        args._started = _now()
         return args.func(args)
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")

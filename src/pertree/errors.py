@@ -22,7 +22,7 @@ class CapacityExceeded(CapacityError):
 
 
 class NonConvergence(NumericalError):
-    """Power iteration failed to converge within the step budget."""
+    """The Perron eigenvalue disagrees with its closed form."""
 
 
 class Subcritical(NumericalError):

@@ -23,6 +23,7 @@ from .tree import TreeArena
 STAR_MAX_LEAVES = 2000
 GRAPH_MAX_STATES = 16384
 SOLVE_RESIDUAL_TOL = 1e-8
+ENUM_MAX_TWO_N = 8
 
 
 @dataclass
@@ -86,6 +87,30 @@ def star_mean_absorption(n: int, lam: float) -> AbsorptionSolve:
     return AbsorptionSolve(n, lam, expected, residual)
 
 
+def check_graph(neighbors: dict[int, list[int]], root: int) -> list[int]:
+    """The sorted vertices of an explicit graph, checked for the subset chains.
+
+    The graph must be simple and undirected: every neighbor is a vertex,
+    and every edge is listed once from each end, with no self-loops.  The
+    root must be a vertex, and the 2^|V| subsets must fit ``GRAPH_MAX_STATES``.
+    """
+    if root not in neighbors:
+        raise ValueError(f"root {root} is not a vertex of the graph")
+    if 1 << len(neighbors) > GRAPH_MAX_STATES:
+        raise TooLarge(f"2^{len(neighbors)} states exceed the cap {GRAPH_MAX_STATES}")
+    for v, nbrs in neighbors.items():
+        for i, w in enumerate(nbrs):
+            if w not in neighbors:
+                raise ValueError(f"neighbor {w} of vertex {v} is not a vertex of the graph")
+            if w == v:
+                raise ValueError(f"self-loop at vertex {v}")
+            if w in nbrs[:i]:
+                raise ValueError(f"edge {v}-{w} is listed twice at {v}")
+            if v not in neighbors[w]:
+                raise ValueError(f"edge {v}-{w} is not listed at {w}")
+    return sorted(neighbors)
+
+
 def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
                         root: int) -> tuple[float, float]:
     """Exact (mean extinction time, mean root reinfections) from {root}.
@@ -96,13 +121,9 @@ def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and >= 0")
-    if root not in neighbors:
-        raise ValueError(f"root {root} is not a vertex of the graph")
-    verts = sorted(neighbors)
+    verts = check_graph(neighbors, root)
     vmap = {v: i for i, v in enumerate(verts)}
     nv = len(verts)
-    if 1 << nv > GRAPH_MAX_STATES:
-        raise TooLarge(f"2^{nv} states exceed the cap {GRAPH_MAX_STATES}")
     nbr_idx = [[vmap[w] for w in neighbors[v]] for v in verts]
     r = vmap[root]
 
@@ -141,15 +162,15 @@ def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
 
 
 def enumerate_closed_walks(seq: PeriodicDegreeSequence, root_residue: int,
-                           two_n: int, max_two_n: int = 8) -> int:
+                           two_n: int) -> int:
     """Count closed walks by explicit recursion over the materialized ball.
 
     Independent of the first-return DP; small bounds only.
     """
     if two_n < 0 or two_n % 2:
         raise ValueError("walk length must be even and nonnegative")
-    if two_n > max_two_n:
-        raise LimitExceeded(f"walk length {two_n} exceeds the cap {max_two_n}")
+    if two_n > ENUM_MAX_TWO_N:
+        raise LimitExceeded(f"walk length {two_n} exceeds the cap {ENUM_MAX_TWO_N}")
     arena = TreeArena(seq, root_residue, max_vertices=10_000_000)
     return enumerate_closed_walks_at(arena, arena.root, two_n)
 

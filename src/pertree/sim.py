@@ -35,7 +35,7 @@ import numpy as np
 
 from .degrees import PeriodicDegreeSequence
 from .errors import BracketFailure, LimitExceeded, TooLarge
-from .oracle import GRAPH_MAX_STATES
+from .oracle import check_graph
 from .rng import stream
 from .tree import TreeArena
 
@@ -44,6 +44,7 @@ DEFAULT_MAX_VERTICES = 500_000
 DEFAULT_BRW_POP_CAP = 1_000_000
 STAR_TABLE_MAX_LEAVES = 1_000_000
 BATCH_MAX_STEPS = 1_000_000
+WILSON_Z = 1.96
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +116,9 @@ class SurvivalEstimate:
     replicas: int
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """Score-based 95% binomial interval (robust near 0 and 1)."""
+    z = WILSON_Z
     if n == 0:
         return 0.0, 1.0
     phat = successes / n
@@ -410,13 +412,9 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
     the event engine against the exact subset-chain oracle at scale.  A batch
     still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
     """
-    if root not in neighbors:
-        raise ValueError(f"root {root} is not a vertex of the graph")
-    verts = sorted(neighbors)
+    verts = check_graph(neighbors, root)
     vmap = {v: i for i, v in enumerate(verts)}
     nv = len(verts)
-    if 1 << nv > GRAPH_MAX_STATES:
-        raise TooLarge(f"2^{nv} states exceed the cap {GRAPH_MAX_STATES}")
     adj = np.zeros((nv, nv))
     for v, nbrs in neighbors.items():
         for w in nbrs:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .degrees import PeriodicDegreeSequence
 from .errors import LimitExceeded
 
-DEFAULT_MAX_TWO_N = 40
+MAX_TWO_N = 40
 
 
 def _walk_tables(seq: PeriodicDegreeSequence, root_residue: int, n_max: int):
@@ -56,12 +56,12 @@ def _walk_tables(seq: PeriodicDegreeSequence, root_residue: int, n_max: int):
 
 
 def closed_walk_count(seq: PeriodicDegreeSequence, root_residue: int,
-                      two_n: int, max_two_n: int = DEFAULT_MAX_TWO_N) -> int:
+                      two_n: int) -> int:
     """Exact number of walks of length ``two_n`` from a fixed vertex back to itself."""
     if two_n < 0 or two_n % 2:
         raise ValueError("walk length must be even and nonnegative")
-    if two_n > max_two_n:
-        raise LimitExceeded(f"walk length {two_n} exceeds the cap {max_two_n}")
+    if two_n > MAX_TWO_N:
+        raise LimitExceeded(f"walk length {two_n} exceeds the cap {MAX_TWO_N}")
     return _walk_tables(seq, root_residue, two_n // 2)[two_n // 2]
 
 
@@ -98,15 +98,14 @@ class WalkCountTable:
 
 
 def m0_estimates(seq: PeriodicDegreeSequence, n_max: int,
-                 root_residue: int = 0,
-                 max_two_n: int = DEFAULT_MAX_TWO_N) -> WalkCountTable:
+                 root_residue: int = 0) -> WalkCountTable:
     """Closed-walk counts for n = 1..n_max with their growth-rate roots.
 
     The running maximum of the roots climbs toward the walk growth constant
     (sqrt(a) + sqrt(b) in the period-2 case) from below.
     """
-    if 2 * n_max > max_two_n:
-        raise LimitExceeded(f"walk length {2 * n_max} exceeds the cap {max_two_n}")
+    if 2 * n_max > MAX_TWO_N:
+        raise LimitExceeded(f"walk length {2 * n_max} exceeds the cap {MAX_TWO_N}")
     closed = _walk_tables(seq, root_residue, n_max)
     counts = closed[1:]
     roots = [math.exp(math.log(c) / (2 * n)) for n, c in enumerate(counts, start=1)]

@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line on success (visible with -rA / -s);
 the pytest verdict per test is the per-criterion pass/fail signal.
-Criteria 6 and 7 are statistical and take a few minutes on one core.
+Criteria 6 and 7 are statistical and take a few seconds each on one core.
 """
 
 import itertools
@@ -69,7 +69,7 @@ def test_criterion_2_period3_tables_and_eigenvalues():
         assert x0 == pytest.approx(x0_ref, abs=1e-3)
         assert bound == pytest.approx(b_ref, abs=1e-4)
         assert lambda1_upper(seq(*triple)) == pytest.approx(l1_ref, abs=1e-4)
-    # spectral value: power iteration vs characteristic polynomial
+    # spectral value: eigenvalue solve vs characteristic polynomial
     rng = random.Random(501)
     for _ in range(100):
         triple = tuple(rng.randint(1, 100) for _ in range(3))

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pertree.bounds import (
     bounds_report,
@@ -394,3 +396,26 @@ def test_bounds_report_json_keys():
     d = bounds_report(seq(3, 4)).to_dict()
     assert set(d) == {"degrees", "lambda_g", "lambda1_upper",
                       "lambda_ell_lower", "x0", "c", "prediction", "notes"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(degrees=st.lists(st.integers(1, 2000), min_size=2, max_size=3))
+def test_perron_eigenvalue_matches_charpoly_property(degrees):
+    s = seq(*degrees)
+    big = perron_eigenvalue(residue_matrix(s))
+    ref = charpoly_perron(s)
+    assert abs(big - ref) <= 1e-12 * ref
+
+
+def test_cubic_dominated_by_constant_has_one_real_root():
+    # x^3 - 1957 x - 239686129, the (391, 774, 792) characteristic cubic:
+    # its discriminant is tiny next to c0^4 but not next to its own terms.
+    res = cubic_real_roots(1.0, 0.0, -1957.0, -239686129.0)
+    assert res.complex_pair
+    assert res.roots == [pytest.approx(622.2256331388918, rel=1e-15)]
+
+
+@pytest.mark.parametrize("a,b", [(326, 1524), (1891, 946)])
+def test_lambda_g_large_period2(a, b):
+    ref = 1.0 / math.sqrt((a + 1) * (b + 1))
+    assert abs(lambda_g(seq(a, b)) - ref) <= 1e-12 * ref

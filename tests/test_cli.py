@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: output schemas, exit codes, manifests, determinism."""
 
+import argparse
 import json
+import math
 
 import pytest
 
-from pertree import errors, sim
+from pertree import cli, errors, sim
 from pertree.cli import main
 
 
@@ -362,3 +364,89 @@ def test_star_step_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(sim, "BATCH_MAX_STEPS", 1_000)
     assert main(["star", "--n", "60", "--lambda", "1.0", "--replicas", "100"]) == 3
     assert "star batch still live after 1000 steps" in capsys.readouterr().err
+
+
+def test_bounds_large_period2(capsys):
+    # power iteration stalled here; the eigenvalue solve does not
+    code, out = run(capsys, "bounds", "--degrees", "326,1524")
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["lambda_g"] == pytest.approx(1 / math.sqrt(327 * 1525), rel=1e-12)
+
+
+def test_oracle_bad_edges_are_a_usage_error(capsys):
+    for edges, message in (("0-0", "self-loop at vertex 0"),
+                           ("0-1,1-0", "edge 0-1 is listed twice at 0")):
+        assert main(["oracle", "--edges", edges, "--lambda", "1.0"]) == 1, edges
+        captured = capsys.readouterr()
+        assert f"usage error: {message}" in captured.err, edges
+        assert captured.out == "", edges
+
+
+def test_manifest_started_is_stamped_before_the_work(tmp_path, monkeypatch, capsys):
+    log = []
+
+    def now():
+        log.append("now")
+        return f"stamp{len(log)}"
+
+    def work(*args, **kwargs):
+        log.append("work")
+        return real_run_replicas(*args, **kwargs)
+
+    real_run_replicas = cli.run_replicas
+    monkeypatch.setattr(cli, "_now", now)
+    monkeypatch.setattr(cli, "run_replicas", work)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--degrees", "3,4", "--lambda", "0.3", "--horizon", "5",
+                 "--replicas", "3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert log == ["now", "work", "now"]
+    assert (manifest["started"], manifest["finished"]) == ("stamp1", "stamp3")
+    assert list(manifest) == ["subcommand", "parameters", "seed", "version",
+                              "started", "finished", "outputs"]
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flag_values(action):
+    """Two command-line strings for an option; the first differs from its default."""
+    typed = action.type or str
+    pool = (list(action.choices) if action.choices else
+            {int: ["7", "9"], float: ["0.25", "0.75"]}.get(typed, ["alpha", "beta"]))
+    return sorted(pool, key=lambda v: typed(v) == action.default)
+
+
+@pytest.mark.parametrize("name", list(_subcommands(cli.build_parser())))
+def test_config_sets_every_option_and_flags_win(name, tmp_path, monkeypatch):
+    seen, build = [], cli.build_parser
+
+    def recording_parser():
+        parser = build()
+        for sub in _subcommands(parser).values():
+            sub.set_defaults(func=lambda args: seen.append(args) or 0)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    actions = [a for a in _subcommands(build())[name]._actions
+               if a.option_strings and a.dest not in ("help", "config")]
+    cfg = tmp_path / "run.json"
+
+    def check(config, flags, pick):
+        cfg.write_text(json.dumps({a.dest: _flag_values(a)[0] for a in config}))
+        argv = [name, "--config", str(cfg)]
+        for a in flags:
+            argv += [a.option_strings[0], _flag_values(a)[pick]]
+        assert main(argv) == 0
+        for a in actions:
+            want = (a.type or str)(_flag_values(a)[pick if a in flags else 0])
+            assert getattr(seen[-1], a.dest) == want, a.dest
+
+    # every option the command line leaves out is taken from the config
+    check([a for a in actions if not a.required],
+          [a for a in actions if a.required], 0)
+    # and a flag on the command line wins over the config
+    check(actions, actions, 1)

@@ -152,6 +152,22 @@ def test_contact_graph_batch_rejects_unknown_root():
         contact_graph_batch({0: [1], 1: [0]}, 1.0, 5, 10)
 
 
+@pytest.mark.parametrize("graph,message", [
+    ({0: [1]}, "neighbor 1 of vertex 0 is not a vertex of the graph"),
+    ({0: [1], 1: []}, "edge 0-1 is not listed at 1"),
+    ({0: [1, 2], 1: [0], 2: [0, 1]}, "edge 2-1 is not listed at 1"),
+    ({0: [0]}, "self-loop at vertex 0"),
+    ({0: [1, 1], 1: [0, 0]}, "edge 0-1 is listed twice at 0"),
+])
+@pytest.mark.parametrize("solve", [
+    lambda g: exact_contact_small(g, 1.0, 0),
+    lambda g: contact_graph_batch(g, 1.0, 0, 10),
+], ids=["oracle", "batch"])
+def test_bad_graph_is_rejected_by_both_chains(solve, graph, message):
+    with pytest.raises(ValueError, match=message):
+        solve(graph)
+
+
 def test_star_runs_step_budget(monkeypatch):
     monkeypatch.setattr(sim, "BATCH_MAX_STEPS", 100)
     with pytest.raises(LimitExceeded):

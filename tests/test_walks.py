@@ -44,7 +44,7 @@ def test_length_zero_walk():
 
 def test_line_counts_are_central_binomials():
     for n in range(1, 16):
-        assert closed_walk_count(seq(1, 1), 0, 2 * n, max_two_n=40) == \
+        assert closed_walk_count(seq(1, 1), 0, 2 * n) == \
             math.comb(2 * n, n)
 
 
