@@ -3,8 +3,15 @@
 Covers the growth-rate critical value ``lambda_g`` (Perron eigenvalue of
 the residue matrix), the oriented-branching upper bound on ``lambda_1``,
 local-survival lower bounds for periods 2 and 3 (the latter through a
-cubic in ``x = 1/lambda^2``), harmonic weight constructions, and the
-asymptotic predictor for ``lambda_2`` on single-dominant-degree trees.
+cubic in ``x = 1/lambda^2``), harmonic weights, and the asymptotic
+predictor for ``lambda_2`` on single-dominant-degree trees.
+
+Harmonic weights are positive g_0, ..., g_{k-1} with
+``g_i (g(i) g_{i+1} + 1/g_i - 1/lambda) = 0``.  Equation i is the Moebius map
+``g_i = 1/(1/lambda - g(i) g_{i+1})``; once round the period the maps fix
+g_0, so every period needs one quadratic.  Its smaller root is the branch
+that continues to the local bound: for period 2 the weights reach
+g_0 = 1/sqrt(b) and g_1 = 1/sqrt(a) at the rate 1/(sqrt(a) + sqrt(b)).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .errors import (
     NoPositiveSolution,
     NonConvergence,
     NoRealSolution,
+    NumericalError,
     Subcritical,
 )
 
@@ -147,6 +155,13 @@ def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> CubicRoots:
     """
     if c3 == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
+    coefficients = (c3, c2, c1, c0)
+    # Solve for x / 2^k with 2^k about the largest root, so that no term of
+    # the discriminant underflows or overflows; powers of two scale exactly.
+    e3 = math.frexp(c3)[1]
+    k = max((math.ceil((math.frexp(c)[1] - e3) / j)
+             for j, c in enumerate(coefficients) if j and c), default=0)
+    c3, c2, c1, c0 = (math.ldexp(c, -e3 - j * k) for j, c in enumerate(coefficients))
     disc = cubic_discriminant(c3, c2, c1, c0)
     # Depressed form t^3 + p t + q with x = t - c2/(3 c3).
     shift = c2 / (3.0 * c3)
@@ -162,34 +177,32 @@ def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> CubicRoots:
     if abs(disc) <= disc_tol:
         if p == 0.0 or abs(p) ** 3 <= 27.0 * q * q * 1e-12:
             # Triple root at the depressed origin.
-            roots = sorted([_newton_polish(c3, c2, c1, c0, -shift)] * 3)
+            roots = [_newton_polish(c3, c2, c1, c0, -shift)] * 3
         else:
             # t^3 + p t + q = (t - s)^2 (t + 2s) with s = -3q/(2p).
             s = -1.5 * q / p
-            roots = sorted([
-                _newton_polish(c3, c2, c1, c0, s - shift),
-                s - shift,
-                _newton_polish(c3, c2, c1, c0, -2.0 * s - shift),
-            ])
-        return CubicRoots((c3, c2, c1, c0), disc, roots, complex_pair=False)
-
-    if disc > 0.0:
+            roots = [_newton_polish(c3, c2, c1, c0, s - shift), s - shift,
+                     _newton_polish(c3, c2, c1, c0, -2.0 * s - shift)]
+    elif disc > 0.0:
         # Three distinct real roots: Viete's trigonometric form.
         m = 2.0 * math.sqrt(-p / 3.0)
         arg = 3.0 * q / (p * m)
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg) / 3.0
-        ts = [m * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)]
-        roots = sorted(_newton_polish(c3, c2, c1, c0, t - shift) for t in ts)
-        return CubicRoots((c3, c2, c1, c0), disc, roots, complex_pair=False)
-
-    # One real root: real-branch radical.
-    half_q = q / 2.0
-    rad = math.sqrt(half_q * half_q + (p / 3.0) ** 3)
-    t = math.copysign(abs(-half_q + rad) ** (1 / 3), -half_q + rad) \
-        + math.copysign(abs(-half_q - rad) ** (1 / 3), -half_q - rad)
-    root = _newton_polish(c3, c2, c1, c0, t - shift)
-    return CubicRoots((c3, c2, c1, c0), disc, [root], complex_pair=True)
+        roots = [_newton_polish(c3, c2, c1, c0,
+                                m * math.cos(phi - 2.0 * math.pi * j / 3.0) - shift)
+                 for j in range(3)]
+    else:
+        # One real root: real-branch radical.  Next to a double root the
+        # radicand cancels and can round below zero.
+        half_q = q / 2.0
+        rad = math.sqrt(max(0.0, half_q * half_q + (p / 3.0) ** 3))
+        t = math.copysign(abs(-half_q + rad) ** (1 / 3), -half_q + rad) \
+            + math.copysign(abs(-half_q - rad) ** (1 / 3), -half_q - rad)
+        roots = [_newton_polish(c3, c2, c1, c0, t - shift)]
+    return CubicRoots(coefficients, cubic_discriminant(*coefficients),
+                      sorted(math.ldexp(r, k) for r in roots),
+                      complex_pair=len(roots) == 1)
 
 
 def local_bound_cubic_coeffs(a: int, b: int, c: int) -> tuple[int, int, int, int]:
@@ -224,75 +237,64 @@ class HarmonicWeights:
     quadratic_roots: tuple[float, float] | None = None
 
 
-def harmonic_weights_period2(a: int, b: int, lam: float) -> HarmonicWeights:
-    """Solve the period-2 weight system at rate ``lam``.
+def _harmonic_weights(seq: PeriodicDegreeSequence, lam: float,
+                      error: type[NumericalError]) -> HarmonicWeights:
+    """Harmonic weights of any period at rate ``lam``; failures raise ``error``.
 
-    The quadratic ``b g0^2 - ((b-a) lam + 1/lam) g0 + 1 = 0`` is solved for
-    the weight at the degree-``a`` residue; the other weight follows from
-    ``a g1 = b g0 + lam (a - b)``.  The smaller quadratic root is the branch
-    that continues the boundary values g0 = 1/sqrt(b), g1 = 1/sqrt(a) at the
-    critical rate 1/(sqrt(a)+sqrt(b)).
+    The product [[A, B], [C, D]] of the maps [[0, 1], [-g(i), 1/lam]] fixes
+    g_0, the smaller root of ``C g^2 + (D - A) g - B = 0``.  The roots are
+    taken without cancellation, and g_i follows from g_{i+1} stepping back.
     """
-    if lam <= 0:
-        raise ValueError("rate must be positive")
+    if not lam > 0:
+        raise ValueError(f"rate must be positive, got {lam}")
+    inv = 1.0 / lam
+    A, B, C, D = 1.0, 0.0, 0.0, 1.0
+    for deg in seq.degrees:
+        A, B, C, D = -deg * B, A + inv * B, -deg * D, C + inv * D
+    lin, trace = D - A, A + D
+    # (D - A)^2 + 4BC cancels near the bound; trace^2 - 4 det, with the exact
+    # det = prod g(i), is the same number without that loss.  At the bound,
+    # itself rounded, it can dip below zero by up to 1e-9 (D - A)^2.
+    disc = trace * trace - 4.0 * math.prod(seq.degrees)
+    if disc < -1e-9 * max(1.0, lin * lin):
+        raise error(f"negative discriminant at rate {lam}")
+    q = -0.5 * (lin + math.copysign(math.sqrt(max(disc, 0.0)), lin))
+    if q == 0.0:
+        raise error(f"weights not positive at rate {lam}")
+    roots = sorted((q / C, -B / q))
+    k = seq.period
+    g = [roots[0]] * k
+    for i in range(k - 1, 0, -1):
+        g[i] = 1.0 / (inv - seq.degrees[i] * g[(i + 1) % k])
+    if min(g) <= 0:
+        raise error(f"weights not positive at rate {lam}")
+    weights = HarmonicWeights(dict(enumerate(g)), lam, branch="minus",
+                              quadratic_roots=tuple(roots))
+    res = harmonicity_residual(seq, lam, weights)
+    if max(abs(r) for r in res) > WEIGHT_RESIDUAL_ATOL:
+        raise error(f"residual check failed at rate {lam}: {res}")
+    return weights
+
+
+def harmonic_weights_period2(a: int, b: int, lam: float) -> HarmonicWeights:
+    """Solve the period-2 weight system at rate ``lam`` <= 1/(sqrt(a)+sqrt(b))."""
     lam0 = lambda_ell_period2(a, b)
     if lam > lam0 * (1.0 + 1e-9):
         raise NoRealSolution(f"rate {lam} exceeds the bound {lam0}")
-    lin = (b - a) * lam + 1.0 / lam
-    disc = lin * lin - 4.0 * b
-    if disc < 0.0:
-        if disc < -1e-9 * max(1.0, lin * lin):
-            raise NoRealSolution(f"negative discriminant at rate {lam}")
-        disc = 0.0
-    sq = math.sqrt(disc)
-    g0_lo, g0_hi = (lin - sq) / (2.0 * b), (lin + sq) / (2.0 * b)
-    g0 = g0_lo
-    g1 = (b * g0 + lam * (a - b)) / a
-    if g0 <= 0 or g1 <= 0:
-        raise NoRealSolution(f"weights not positive at rate {lam}")
-    weights = HarmonicWeights({0: g0, 1: g1}, lam, branch="minus",
-                              quadratic_roots=(g0_lo, g0_hi))
-    res = harmonicity_residual(PeriodicDegreeSequence((a, b)), lam, weights)
-    if max(abs(r) for r in res) > WEIGHT_RESIDUAL_ATOL:
-        raise NoRealSolution(f"residual check failed at rate {lam}: {res}")
-    return weights
+    return _harmonic_weights(PeriodicDegreeSequence((a, b)), lam, NoRealSolution)
 
 
 def harmonic_weights_period3(a: int, b: int, c: int, lam: float) -> HarmonicWeights:
-    """Solve the period-3 weight system at rate ``lam``.
+    """Solve the period-3 weight system at rate ``lam`` <= 1/sqrt(x0).
 
-    Eliminating two unknowns leaves ``alpha g0^2 + beta g0 + gamma = 0`` with
-    alpha = -ac + c/lam^2, beta = (a+b-c)/lam - 1/lam^3, gamma = -b + 1/lam^2.
-    The smaller root continues toward the boundary rate 1/sqrt(x0); the other
-    weights are recovered by back-substitution.
+    Above that bound the quadratic can have real roots again, off the branch
+    that continues to the boundary.
     """
-    if lam <= 0:
-        raise ValueError("rate must be positive")
     _, bound = lambda_ell_lower_period3(a, b, c)
     if lam > bound * (1.0 + 1e-9):
         raise NoPositiveSolution(f"rate {lam} exceeds the bound {bound}")
-    inv = 1.0 / lam
-    alpha = -a * c + c * inv * inv
-    beta = (a + b - c) * inv - inv ** 3
-    gamma = -b + inv * inv
-    disc = beta * beta - 4.0 * alpha * gamma
-    if disc < 0.0:
-        if disc < -1e-9 * max(1.0, beta * beta):
-            raise NoPositiveSolution(f"negative discriminant at rate {lam}")
-        disc = 0.0
-    sq = math.sqrt(disc)
-    roots = sorted(((-beta - sq) / (2.0 * alpha), (-beta + sq) / (2.0 * alpha)))
-    g0 = roots[0]
-    g2 = -1.0 / (c * g0 - inv)
-    g1 = -1.0 / (b * g2 - inv)
-    if g0 <= 0 or g1 <= 0 or g2 <= 0:
-        raise NoPositiveSolution(f"weights not positive at rate {lam}")
-    weights = HarmonicWeights({0: g0, 1: g1, 2: g2}, lam, branch="minus",
-                              quadratic_roots=(roots[0], roots[1]))
-    res = harmonicity_residual(PeriodicDegreeSequence((a, b, c)), lam, weights)
-    if max(abs(r) for r in res) > WEIGHT_RESIDUAL_ATOL:
-        raise NoPositiveSolution(f"residual check failed at rate {lam}: {res}")
-    return weights
+    return _harmonic_weights(PeriodicDegreeSequence((a, b, c)), lam,
+                             NoPositiveSolution)
 
 
 def harmonicity_residual(seq: PeriodicDegreeSequence, lam: float,

@@ -2,8 +2,9 @@
 
 One executable with subcommands.  Every option has one default, on its
 flag; a JSON config file (``--config``) replaces those defaults, so an
-explicit flag still wins.  Every output file is paired with a manifest
-recording the full parameter set, so any run can be reproduced exactly.
+explicit flag still wins, and either may give a required parameter.
+Every output file is paired with a manifest recording the full parameter
+set, so any run can be reproduced exactly.
 Exit codes: 0 success, 1 usage, 2 numerical failure, 3 capacity/limit.
 """
 
@@ -20,10 +21,10 @@ from datetime import datetime, timezone
 from . import __version__
 from .bounds import (
     bounds_report,
-    charpoly_perron,
     lambda1_upper,
     lambda2_asymptotic,
     lambda_ell_lower_period3,
+    lambda_g,
 )
 from .degrees import PeriodicDegreeSequence
 from .errors import CapacityError, NumericalError
@@ -181,8 +182,7 @@ def cmd_table(args) -> int:
         header = ["a", "b", "c", "lambda_g_spectral", "lambda1_upper"]
         for a, b, c in PERIOD3_TABLE_ROWS:
             seq = PeriodicDegreeSequence((a, b, c))
-            lam_g = 1.0 / charpoly_perron(seq)
-            rows.append([a, b, c, f"{lam_g:.4f}", f"{lambda1_upper(seq):.4f}"])
+            rows.append([a, b, c, f"{lambda_g(seq):.4f}", f"{lambda1_upper(seq):.4f}"])
     _emit(_csv_text(header, rows), args)
     return 0
 
@@ -213,7 +213,6 @@ def cmd_walks(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require(args, "degrees", "lam", "horizon")
     seq = PeriodicDegreeSequence.parse(args.degrees)
     config = SimConfig(seq, args.lam, **_run_options(args))
     rows = []
@@ -267,7 +266,6 @@ def cmd_star(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _require(args, "degrees", "lambda_grid", "horizon")
     seq = PeriodicDegreeSequence.parse(args.degrees)
     rows = []
     for lam in _parse_grid(args.lambda_grid):
@@ -334,10 +332,12 @@ def _run_options(args) -> dict:
     return {name: getattr(args, name) for name in RUN_OPTIONS}
 
 
-def _add_common(sub):
+def _add_common(sub, *required: str) -> None:
+    """``--out`` and ``--config``, and the dests ``main`` requires after the config."""
     sub.add_argument("--out", default=None, help="write output (and a manifest) here")
     sub.add_argument("--config", default=None,
                      help="JSON file of option defaults; flags win")
+    sub.set_defaults(_parser=sub, _required=required)
 
 
 def build_parser() -> _Parser:
@@ -346,40 +346,39 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("bounds", help="closed-form bounds")
-    p.add_argument("--degrees", required=True)
-    _add_common(p)
+    p.add_argument("--degrees")
+    _add_common(p, "degrees")
     p.set_defaults(func=cmd_bounds)
 
     p = subs.add_parser("table", help="regenerate the period-3 reference tables")
-    p.add_argument("--which", choices=["period3_x0", "period3_lambda1"],
-                   required=True)
-    _add_common(p)
+    p.add_argument("--which", choices=["period3_x0", "period3_lambda1"])
+    _add_common(p, "which")
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("predict", help="asymptotic lambda_2 predictions")
-    p.add_argument("--degrees", required=True,
+    p.add_argument("--degrees",
                    help="comma list with literal 'n' as the dominant slot, e.g. 1,n")
-    p.add_argument("--n-range", required=True, help="start:stop:step")
-    _add_common(p)
+    p.add_argument("--n-range", help="start:stop:step")
+    _add_common(p, "degrees", "n_range")
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("walks", help="closed-walk counts and growth roots")
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--degrees")
+    p.add_argument("--nmax", type=int)
     p.add_argument("--residue", type=int, default=0)
-    _add_common(p)
+    _add_common(p, "degrees", "nmax")
     p.set_defaults(func=cmd_walks)
 
     p = subs.add_parser("simulate", help="per-replica simulation records")
     p.add_argument("--degrees")
     p.add_argument("--lambda", dest="lam", type=float)
     _add_run_flags(p, replicas=1)
-    _add_common(p)
+    _add_common(p, "degrees", "lam", "horizon")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("star", help="star-graph chain runs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--n", type=int)
+    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--center", type=int, default=1)
     p.add_argument("--stop", choices=["absorb", "reach", "horizon"],
@@ -388,7 +387,7 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, "n", "lam")
     p.set_defaults(func=cmd_star)
 
     p = subs.add_parser("sweep", help="survival curve over a lambda grid")
@@ -396,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-grid", help="start:stop:step")
     _add_run_flags(p, replicas=100)
     p.add_argument("--criterion", choices=["global", "local"], default="global")
-    _add_common(p)
+    _add_common(p, "degrees", "lambda_grid", "horizon")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("oracle", help="exact small-instance solves")
@@ -409,9 +408,6 @@ def build_parser() -> _Parser:
     p.add_argument("--two-n", type=int, default=4)
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
-
-    for sub in subs.choices.values():
-        sub.set_defaults(_parser=sub)
     return parser
 
 
@@ -424,6 +420,7 @@ def main(argv: list[str] | None = None) -> int:
             # second parse keeps every flag given on the command line.
             args._parser.set_defaults(**_read_config(args._parser, args.config))
             args = parser.parse_args(argv)
+        _require(args, *args._required)
         args._started = _now()
         return args.func(args)
     except CapacityError as exc:

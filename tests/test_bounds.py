@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pertree.bounds import (
@@ -186,6 +186,49 @@ def test_cubic_residual_invariant():
             abs(res.discriminant) <= 1e-6
 
 
+def test_cubic_one_real_root_next_to_a_double_root():
+    # x^3 + x^2 + 1e-99: the depressed radicand cancels to just below zero.
+    res = cubic_real_roots(1.0, 1.0, 0.0, 1e-99)
+    assert res.complex_pair
+    assert res.roots == [pytest.approx(-1.0, rel=1e-15)]
+
+
+coefficient = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.tuples(coefficient, coefficient, coefficient, coefficient))
+def test_cubic_residual_and_order_property(c):
+    assume(abs(c[0]) >= 1e-2)
+    res = cubic_real_roots(*c)
+    assert res.roots == sorted(res.roots)
+    assert len(res.roots) == (1 if res.complex_pair else 3)
+    # each root is an exact root of a cubic within 1e-12 of c, normwise
+    norm = max(abs(ci) for ci in c)
+    for r in res.roots:
+        assert abs(_poly(c, r)) <= 1e-12 * norm * sum(abs(r) ** i for i in range(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(-20, 20), s=st.integers(-20, 20), t=st.integers(-20, 20),
+       lead=st.sampled_from([1.0, -2.0, 3.5]), real=st.booleans())
+def test_cubic_discriminant_branch_property(r, s, t, lead, real):
+    if real:
+        # lead (x - r)(x - s)(x - t) with distinct integer roots
+        assume(len({r, s, t}) == 3)
+        want = sorted((r, s, t))
+        monic = (1, -(r + s + t), r * s + r * t + s * t, -r * s * t)
+    else:
+        # lead (x - r)(x^2 + s x + q) with q > s^2/4: one real root, r
+        q = s * s // 4 + abs(t) + 1
+        want = [r]
+        monic = (1, s - r, q - r * s, -r * q)
+    res = cubic_real_roots(*(lead * m for m in monic))
+    assert (res.discriminant > 0) == real
+    assert res.complex_pair == (not real)
+    assert res.roots == pytest.approx(want, abs=1e-9)
+
+
 def test_discriminant_formula():
     # 18abcd - 4b^3d + b^2c^2 - 4ac^3 - 27a^2d^2 on a pinned example
     assert cubic_discriminant(1, -6, 11, -6) == pytest.approx(4.0)   # roots 1,2,3
@@ -304,6 +347,58 @@ def test_period3_boundary_epsilon(degs):
     assert all(v > 0 for v in w.g_values.values())
     with pytest.raises(NoPositiveSolution):
         harmonic_weights_period3(*degs, bound * (1 + 1e-6))
+
+
+def test_period3_weights_pinned():
+    # Pinned to the values of the former period-3 hand elimination.
+    w = harmonic_weights_period3(2, 3, 4, 0.28)
+    assert w.g_values == pytest.approx(
+        {0: 0.3815068260151142, 1: 0.4751217460668, 2: 0.4889016233409952},
+        rel=1e-12)
+    assert w.quadratic_roots == pytest.approx(
+        (0.3815068260151142, 0.5943673946408902), rel=1e-12)
+    _, bound = lambda_ell_lower_period3(6, 8, 10)
+    assert bound == pytest.approx(0.17740559393925337, rel=1e-12)
+    w = harmonic_weights_period3(6, 8, 10, 0.9 * bound)
+    assert w.g_values == pytest.approx(
+        {0: 0.20454235557551587, 1: 0.22902484655906208, 2: 0.2370966950437093},
+        rel=1e-12)
+
+
+def test_period2_weights_far_below_bound_lopsided():
+    # One small and one huge degree far below the bound: the forward
+    # substitution the solver replaced missed its own residual check here.
+    lam = 0.1 * lambda_ell_period2(5, 473235)
+    w = harmonic_weights_period2(5, 473235, lam)
+    assert all(v > 0 for v in w.g_values.values())
+    res = harmonicity_residual(seq(5, 473235), lam, w)
+    assert max(abs(r) for r in res) < 1e-10
+
+
+def test_weights_reject_a_rate_that_is_not_positive():
+    for lam in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            harmonic_weights_period2(3, 4, lam)
+        with pytest.raises(ValueError):
+            harmonic_weights_period3(2, 3, 4, lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degrees=st.lists(st.integers(1, 10_000), min_size=2, max_size=3))
+def test_harmonic_weights_boundary_property(degrees):
+    if len(degrees) == 2:
+        solve, error = harmonic_weights_period2, NoRealSolution
+        bound = lambda_ell_period2(*degrees)
+    else:
+        solve, error = harmonic_weights_period3, NoPositiveSolution
+        _, bound = lambda_ell_lower_period3(*degrees)
+    lam = bound * (1 - 1e-6)
+    w = solve(*degrees, lam)
+    assert all(v > 0 for v in w.g_values.values())
+    res = harmonicity_residual(seq(*degrees), lam, w)
+    assert max(abs(r) for r in res) < 1e-10
+    with pytest.raises(error):
+        solve(*degrees, bound * (1 + 1e-6))
 
 
 def test_fixed_weights_superharmonic_below_bound():

@@ -261,6 +261,12 @@ def test_config_file_merge(tmp_path, capsys):
                     "--lambda-grid", "0.1:0.2:0.1")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+    # a required flag may come from the config alone
+    cfg.write_text(json.dumps({"n": 5, "lambda": 0.5}))
+    code, out = run(capsys, "star", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[0] == "replica,hit,time,peak,time_avg_leaves"
+    assert len(out.strip().splitlines()) == 2
 
 
 def test_config_values_take_option_types(tmp_path, capsys):
@@ -319,9 +325,9 @@ def test_star_bad_horizon_is_a_usage_error(capsys):
 
 
 def test_usage_exit_codes(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds"])                               # missing --degrees
-    assert exc.value.code == 1
+    assert main(["bounds"]) == 1                       # missing --degrees
+    assert "usage error: missing required parameters: --degrees" \
+        in capsys.readouterr().err
     assert main(["simulate", "--degrees", "3,4"]) == 1  # missing lambda/horizon
     assert main(["bounds", "--degrees", "3,x"]) == 1
     capsys.readouterr()
