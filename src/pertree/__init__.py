@@ -24,6 +24,7 @@ from .bounds import (
 from .degrees import PeriodicDegreeSequence, degree_at
 from .oracle import (
     AbsorptionSolve,
+    brw_survival,
     enumerate_closed_walks,
     exact_contact_small,
     star_mean_absorption,
@@ -59,6 +60,7 @@ __all__ = [
     "TreeArena",
     "WalkCountTable",
     "bounds_report",
+    "brw_survival",
     "closed_walk_count",
     "cubic_real_roots",
     "degree_at",

@@ -42,6 +42,10 @@ from .sim import (
 from .walks import m0_estimates
 
 PERIOD3_TABLE_ROWS = [(2, 3, 4), (3, 4, 5), (4, 6, 8), (6, 8, 10)]
+GRID_MAX_STEPS = 10_000
+# A grid step below this share of max(1, |start|, |stop|) may not move the
+# running value past float rounding, and the grid would never end.
+GRID_MIN_STEP = 1e-9
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -134,6 +138,12 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"bad grid {text!r}: expected start:stop:step") from exc
     if not (math.isfinite(start) and math.isfinite(stop) and step > 0):
         raise ValueError(f"bad grid {text!r}: needs finite bounds and a step > 0")
+    if stop < start:
+        raise ValueError(f"bad grid {text!r}: stop is below start")
+    if step < GRID_MIN_STEP * max(1.0, abs(start), abs(stop)):
+        raise ValueError(f"bad grid {text!r}: step below {GRID_MIN_STEP:g} of the grid's scale")
+    if (stop - start) / step > GRID_MAX_STEPS:
+        raise ValueError(f"bad grid {text!r}: more than {GRID_MAX_STEPS} steps")
     grid = []
     value = start
     while value <= stop + 1e-12 * max(1.0, abs(stop)):

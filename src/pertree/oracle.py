@@ -2,9 +2,14 @@
 
 Exact expected absorption times for the star chain (subtraction-free
 elimination), exact contact-process statistics on tiny explicit graphs
-(full subset chain), and exhaustive closed-walk enumeration on a
-materialized ball.  These are the independent side of every simulator/DP
-cross-check.
+(full subset chain), branching-random-walk survival on the periodic tree
+(a k-dimensional backward ODE), and exhaustive closed-walk enumeration on
+a materialized ball.  These are the independent side of every
+simulator/DP cross-check.
+
+Only ``exact_contact_small`` and ``brw_survival`` use scipy, and each
+imports it in its own body, so importing this module (and every command
+but ``pertree oracle --edges``) never loads scipy.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import spsolve
 
 from .degrees import PeriodicDegreeSequence
 from .errors import LimitExceeded, SolveFailure, TooLarge
@@ -24,6 +27,7 @@ STAR_MAX_LEAVES = 2000
 GRAPH_MAX_STATES = 16384
 SOLVE_RESIDUAL_TOL = 1e-8
 ENUM_MAX_TWO_N = 8
+BRW_ODE_RTOL = 1e-10
 
 
 @dataclass
@@ -119,6 +123,9 @@ def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
     first-step systems: absorption time, and the expected number of
     transitions that reinfect the root.
     """
+    from scipy.sparse import lil_matrix
+    from scipy.sparse.linalg import spsolve
+
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and >= 0")
     verts = check_graph(neighbors, root)
@@ -159,6 +166,39 @@ def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
         raise SolveFailure(f"subset-chain solve residual {res} too large")
     start = (1 << r) - 1
     return float(mean_time[start]), float(mean_visits[start])
+
+
+def brw_survival(seq: PeriodicDegreeSequence, lam: float, horizon: float,
+                 root_residue: int = 0) -> float:
+    """P(a BRW from one particle at the root is alive at ``horizon``).
+
+    A particle at height residue i dies at rate 1 and gives birth onto each
+    of its g_i children and its parent at rate ``lam``, so the residues form
+    a k-type branching process.  q_i(t) = P(extinct by t | one particle at
+    residue i) solves the backward equation
+
+        dq_i/dt = 1 - (1 + lam (g_i + 1)) q_i + lam q_i (g_i q_{i+1} + q_{i-1}),
+
+    with q(0) = 0 and indices mod k; the answer is 1 - q_r(horizon), to
+    about 1e-10.  LSODA switches to a stiff method when lam * g_i is large.
+    """
+    from scipy.integrate import solve_ivp
+
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and >= 0")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive")
+    g = np.array(seq.degrees, dtype=float)
+    out_rate = 1.0 + lam * (g + 1.0)
+
+    def rhs(_t, q):
+        return 1.0 - out_rate * q + lam * q * (g * np.roll(q, -1) + np.roll(q, 1))
+
+    sol = solve_ivp(rhs, (0.0, horizon), np.zeros(seq.period), method="LSODA",
+                    rtol=BRW_ODE_RTOL, atol=BRW_ODE_RTOL * 1e-2)
+    if not sol.success:
+        raise SolveFailure(f"BRW survival ODE failed: {sol.message}")
+    return 1.0 - float(sol.y[root_residue % seq.period, -1])
 
 
 def enumerate_closed_walks(seq: PeriodicDegreeSequence, root_residue: int,

@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pertree import cli, errors, sim
 from pertree.cli import main
@@ -335,12 +337,39 @@ def test_usage_exit_codes(capsys):
 
 def test_bad_grid_is_a_usage_error(capsys):
     for grid in ("0.1:0.2:0", "0.1:0.2:-0.1", "0.1:0.2", "0.1:x:0.1",
-                 "0.1:inf:0.1", "0.1:0.2:nan"):
+                 "0.1:inf:0.1", "0.1:0.2:nan", "0.5:0.3:0.1", "0:1:1e-300",
+                 "0:1:1e-7", "1e20:1e20:1"):
         assert main(["sweep", "--degrees", "3,4", "--lambda-grid", grid,
                      "--horizon", "5"]) == 1, grid
         assert "usage error: bad grid" in capsys.readouterr().err
     assert main(["predict", "--degrees", "1,n", "--n-range", "1:5:0"]) == 1
     assert "usage error: bad grid" in capsys.readouterr().err
+
+
+def test_documented_grids_are_pinned():
+    assert cli._parse_grid("0.30:0.50:0.05") == [0.3, 0.35, 0.4, 0.45, 0.5]
+    assert cli._parse_grid("0.05:0.25:0.02") == [
+        0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17, 0.19, 0.21, 0.23, 0.25]
+    assert cli._parse_grid("0.1:0.2:0.1") == [0.1, 0.2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-1e6, 1e6), width=st.floats(0, 1e6),
+       steps=st.floats(0.01, 2 * cli.GRID_MAX_STEPS))
+def test_grid_property(start, width, steps):
+    stop = start + width
+    step = (stop - start) / steps if stop > start else 1.0
+    assume(step >= cli.GRID_MIN_STEP * max(1.0, abs(start), abs(stop)))
+    text = f"{start!r}:{stop!r}:{step!r}"
+    if (stop - start) / step > cli.GRID_MAX_STEPS:
+        with pytest.raises(ValueError, match="bad grid"):
+            cli._parse_grid(text)
+        return
+    grid = cli._parse_grid(text)
+    assert grid[0] == round(start, 12)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    slack = 1e-9 * max(1.0, abs(stop))
+    assert stop - step - slack <= grid[-1] <= stop + slack
 
 
 def test_predict_without_n_slot_is_a_usage_error(capsys):

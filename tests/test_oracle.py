@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from pertree.degrees import PeriodicDegreeSequence
 from pertree.errors import LimitExceeded, SolveFailure, TooLarge
 from pertree.oracle import (
+    brw_survival,
     enumerate_closed_walks,
     enumerate_closed_walks_at,
     exact_contact_small,
     star_mean_absorption,
 )
+from pertree.sim import SimConfig, run_brw
 from pertree.tree import TreeArena
 from pertree.walks import closed_walk_count
 
@@ -225,3 +227,42 @@ def test_enumeration_anchor_independence():
 def test_enumeration_limit():
     with pytest.raises(LimitExceeded):
         enumerate_closed_walks(PeriodicDegreeSequence((2,)), 0, 10)
+
+
+def test_brw_survival_lambda_zero_is_the_lifetime_tail():
+    # with no births the one particle lives an Exp(1) time
+    for degs, residue in [((3, 4), 0), ((1, 2, 5), 2), ((2,), 0)]:
+        for horizon in (0.5, 2.0, 6.0, 20.0):
+            got = brw_survival(PeriodicDegreeSequence(degs), 0.0, horizon, residue)
+            assert got == pytest.approx(math.exp(-horizon), abs=1e-9)
+
+
+def test_brw_survival_rejects_bad_rate_and_horizon():
+    seq = PeriodicDegreeSequence((3, 4))
+    for lam in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            brw_survival(seq, lam, 1.0)
+    for horizon in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            brw_survival(seq, 0.3, horizon)
+
+
+# (degrees, lambda, horizon, root residue).  Seed, replica count and the
+# |z| <= 4 tolerance were fixed before the first run.
+BRW_SURVIVAL_CASES = [((3, 4), 0.3, 6.0, 0), ((3, 4), 0.2, 6.0, 1),
+                      ((1, 2, 5), 0.25, 5.0, 2), ((2,), 0.4, 4.0, 0)]
+BRW_SURVIVAL_SEED = 123
+BRW_SURVIVAL_REPLICAS = 20_000
+
+
+@pytest.mark.parametrize("degs,lam,horizon,residue", BRW_SURVIVAL_CASES)
+def test_brw_survival_matches_the_engine(degs, lam, horizon, residue):
+    seq = PeriodicDegreeSequence(degs)
+    exact = brw_survival(seq, lam, horizon, residue)
+    config = SimConfig(seq, lam, horizon, root_residue=residue, seed=BRW_SURVIVAL_SEED,
+                       replicas=BRW_SURVIVAL_REPLICAS, mode="brw")
+    outcomes = [run_brw(config, i) for i in range(BRW_SURVIVAL_REPLICAS)]
+    assert not any(o.truncated for o in outcomes)
+    alive = sum(not o.extinct for o in outcomes) / BRW_SURVIVAL_REPLICAS
+    z = (alive - exact) / math.sqrt(exact * (1 - exact) / BRW_SURVIVAL_REPLICAS)
+    assert abs(z) <= 4.0, (exact, alive, z)

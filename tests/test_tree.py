@@ -25,6 +25,26 @@ def test_parse_rejects_garbage():
         PeriodicDegreeSequence((1, 0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(degrees=st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+def test_parse_roundtrip_property(degrees):
+    seq = PeriodicDegreeSequence(tuple(degrees))
+    assert PeriodicDegreeSequence.parse(str(seq)) == seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(degrees=st.lists(st.integers(1, 1000), min_size=1, max_size=5),
+       slot=st.integers(0, 4),
+       bad=st.one_of(st.just(""), st.integers(-1000, 0).map(str),
+                     st.floats().filter(lambda x: not x.is_integer()).map(repr),
+                     st.text("xy.e+-", min_size=1)))
+def test_parse_rejects_bad_parts_property(degrees, slot, bad):
+    parts = [str(d) for d in degrees]
+    parts.insert(min(slot, len(parts)), bad)
+    with pytest.raises(ValueError):
+        PeriodicDegreeSequence.parse(",".join(parts))
+
+
 def test_degree_at_examples():
     seq = PeriodicDegreeSequence((1, 50))
     assert degree_at(seq, 0) == 1

@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pertree.bounds import lambda_ell_period2
 from pertree.degrees import PeriodicDegreeSequence
 from pertree.errors import LimitExceeded
+from pertree.oracle import enumerate_closed_walks
 from pertree.walks import (
     closed_walk_count,
     level_return_count,
@@ -132,3 +135,12 @@ def test_counts_are_exact_integers():
     table = m0_estimates(seq(3, 4), 20)
     assert all(isinstance(c, int) for c in table.counts)
     assert table.counts[-1] > 2 ** 64     # would overflow fixed-width arithmetic
+
+
+@settings(max_examples=30, deadline=None)
+@given(degrees=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       residue=st.integers(0, 5))
+def test_dp_matches_enumeration_property(degrees, residue):
+    s = seq(*degrees)
+    counts = m0_estimates(s, 4, root_residue=residue).counts[:4]
+    assert counts == [enumerate_closed_walks(s, residue, two_n) for two_n in (2, 4, 6, 8)]
