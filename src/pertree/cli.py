@@ -201,9 +201,11 @@ def cmd_predict(args) -> int:
     parts = args.degrees.split(",")
     if "n" not in parts:
         raise ValueError(f"--degrees {args.degrees!r} has no 'n' slot, e.g. 1,n")
-    n_values = [int(v) for v in _parse_grid(args.n_range)]
+    n_values = _parse_grid(args.n_range)
+    if not all(v.is_integer() for v in n_values):
+        raise ValueError(f"--n-range {args.n_range!r} has a value of n that is not an integer")
     rows = []
-    for n in n_values:
+    for n in map(int, n_values):
         degs = tuple(n if p == "n" else int(p) for p in parts)
         c, pred = lambda2_asymptotic(PeriodicDegreeSequence(degs), n_override=n)
         rows.append([n, repr(c), repr(pred)])

@@ -16,7 +16,13 @@ class PeriodicDegreeSequence:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        degs = tuple(int(d) for d in self.degrees)
+        raw = tuple(self.degrees)
+        try:
+            degs = tuple(int(d) for d in raw)
+        except (TypeError, ValueError, OverflowError):   # not a number, NaN or infinity
+            degs = None
+        if degs != raw:
+            raise ValueError(f"children counts must be integers, got {raw!r}")
         if not degs:
             raise ValueError("degree sequence must be nonempty")
         if any(d < 1 for d in degs):

@@ -377,6 +377,21 @@ def test_predict_without_n_slot_is_a_usage_error(capsys):
     assert "no 'n' slot" in capsys.readouterr().err
 
 
+def test_predict_rejects_an_n_that_is_not_an_integer(capsys):
+    assert main(["predict", "--degrees", "1,n", "--n-range", "10:11:0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: --n-range '10:11:0.5'" in captured.err
+    assert "not an integer" in captured.err
+
+
+def test_cp_threads_that_is_not_an_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CP_THREADS", "two")
+    assert main(["sweep", "--degrees", "3,4", "--lambda-grid", "0.1:0.2:0.1",
+                 "--horizon", "2", "--replicas", "3"]) == 1
+    assert "usage error: CP_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+
+
 def test_oracle_without_mode_is_a_usage_error(capsys):
     assert main(["oracle", "--lambda", "0.5"]) == 1
     assert "usage error: oracle needs" in capsys.readouterr().err

@@ -65,3 +65,40 @@ def test_only_the_subset_chain_oracle_loads_scipy():
     assert report["edges_code"] == 0
     assert "scipy.sparse.linalg" in report["after_edges"]
     assert "scipy.integrate" in report["after_brw_survival"]
+
+
+POOL_PROBE = """
+import json, math, os, sys
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m in ("multiprocessing", "concurrent.futures")
+                  or m.startswith(("multiprocessing.", "concurrent.futures.")))
+
+os.sched_getaffinity = lambda pid: {0, 1}   # the default would pool a large batch
+import pertree
+from pertree import sim
+seq = pertree.PeriodicDegreeSequence((1, 100))
+pred = math.sqrt(0.5 * math.log(100) / 100)
+report = {"after_import": pool_modules()}
+sim.estimate_lambda2(seq, sim.Lambda2Protocol(
+    lam_lo=0.3 * pred, lam_hi=4.0 * pred, horizon=150.0, replicas=30, seed=1,
+    tolerance=0.1 * pred, max_events=10_000))
+sim.survival_curve(seq, pred, 1.0, 2, 0, criterion="local", max_events=10)
+report["after_small_batches"] = pool_modules()
+sim.survival_curve(seq, pred, 0.01, sim.POOL_MIN_REPLICAS, 0)
+report["after_pooled_batch"] = pool_modules()
+print(json.dumps(report))
+"""
+
+
+def test_small_batches_load_no_pool_modules():
+    # A lambda_2 bisection of the benchmark's size runs batches of at most 30
+    # replicas, below sim.POOL_MIN_REPLICAS, so it stays in this process.
+    env = {"PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE],
+                          capture_output=True, text=True, timeout=120, env=env,
+                          check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["after_small_batches"] == []
+    assert "concurrent.futures.process" in report["after_pooled_batch"]

@@ -1,5 +1,6 @@
 """Simulation engines: determinism, exactness spot checks, thresholds."""
 
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -176,12 +177,31 @@ def test_star_runs_step_budget(monkeypatch):
     assert (times <= 0.5).all()
 
 
+def pool_on_two_workers(monkeypatch) -> list:
+    """From here on, batches of 4 or more replicas run in a pool of two workers.
+
+    Returns the argument tuples of every ``ProcessPoolExecutor`` made, so a
+    test can check that the pooled path ran.
+    """
+    monkeypatch.setenv("CP_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sim, "POOL_MIN_REPLICAS", 4)
+    pools, real = [], concurrent.futures.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        pools.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return pools
+
+
 def test_run_replicas_parallel_matches_serial(monkeypatch):
     c = config(replicas=8, seed=5)
     serial = run_replicas(c)
-    monkeypatch.setenv("CP_THREADS", "2")
+    pools = pool_on_two_workers(monkeypatch)
     parallel = run_replicas(c)
     assert parallel == serial
+    assert pools == [(2,)]
 
 
 def test_run_replicas_index_range(monkeypatch):
@@ -189,19 +209,59 @@ def test_run_replicas_index_range(monkeypatch):
     full = run_replicas(c)
     assert run_replicas(c, indices=range(3, 11)) == full[3:11]
     assert run_replicas(c, indices=range(0)) == []
-    monkeypatch.setenv("CP_THREADS", "2")
+    pools = pool_on_two_workers(monkeypatch)
     assert run_replicas(c, indices=range(3, 11)) == full[3:11]
+    assert pools == [(2,)]
+
+
+def test_run_replicas_pools_large_batches_by_default(monkeypatch):
+    # Below POOL_MIN_REPLICAS a batch runs in this process whatever CP_THREADS says.
+    pools = pool_on_two_workers(monkeypatch)
+    monkeypatch.setattr(sim, "POOL_MIN_REPLICAS", 64)
+    c = config(replicas=64, seed=5, horizon=2.0)
+    assert len(run_replicas(c, indices=range(63))) == 63
+    assert pools == []
+    monkeypatch.delenv("CP_THREADS")
+    pooled = run_replicas(c)
+    assert pools == [(2,)]
+    monkeypatch.setenv("CP_THREADS", "1")
+    assert run_replicas(c) == pooled
+    assert pools == [(2,)]
 
 
 def test_worker_count_capped_at_core_count(monkeypatch):
     monkeypatch.setenv("CP_THREADS", "100000")
-    assert worker_count() == (os.cpu_count() or 1)
+    assert worker_count() == sim.usable_cpus()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert worker_count() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count() == 1
     monkeypatch.setenv("CP_THREADS", "0")
     assert worker_count() == 1
+
+
+def test_worker_count_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    for unset in (None, "", " "):
+        if unset is None:
+            monkeypatch.delenv("CP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CP_THREADS", unset)
+        assert worker_count() == 3
+    for value, expected in (("1", 1), ("2", 2), (" 2 ", 2), ("-4", 1)):
+        monkeypatch.setenv("CP_THREADS", value)
+        assert worker_count() == expected
+
+
+def test_worker_count_rejects_a_value_that_is_not_an_integer(monkeypatch):
+    for value in ("two", "1.5", "2x"):
+        monkeypatch.setenv("CP_THREADS", value)
+        with pytest.raises(ValueError, match="CP_THREADS"):
+            worker_count()
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +716,13 @@ def test_estimate_lambda2_matches_full_sample_rule(degrees, root_residue, make):
 
 
 def test_estimate_lambda2_pooled_matches_serial(monkeypatch):
-    # 10% of 100 replicas: the first batches hold 10 replicas, enough to pool.
+    # 10% of 100 replicas: the first batches hold 10 replicas, enough to pool
+    # at a threshold of 4.
     protocol = lambda2_protocol(50, 6, replicas=100, target_probability=0.1)
     serial = estimate_lambda2(seq(1, 50), protocol)
-    monkeypatch.setenv("CP_THREADS", "2")
+    pools = pool_on_two_workers(monkeypatch)
     assert estimate_lambda2(seq(1, 50), protocol) == serial
+    assert pools
 
 
 def test_estimate_lambda2_upper_bracket_stops_early(monkeypatch):

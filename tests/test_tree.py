@@ -1,5 +1,6 @@
 """Degree sequences and the lazily grown arena."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,20 @@ def test_parse_rejects_garbage():
         PeriodicDegreeSequence(())
     with pytest.raises(ValueError):
         PeriodicDegreeSequence((1, 0))
+
+
+def test_constructor_rejects_a_degree_that_is_not_an_integer():
+    for bad in ((1.5, 2.9), (2, 2.5), (np.float64(3.5),), (float("nan"),),
+                (float("inf"), 2), ("3",)):
+        with pytest.raises(ValueError, match="must be integers"):
+            PeriodicDegreeSequence(bad)
+
+
+def test_constructor_accepts_integral_numbers():
+    seq = PeriodicDegreeSequence((np.int64(3), 2.0, np.float64(4.0), np.uint8(5)))
+    assert seq.degrees == (3, 2, 4, 5)
+    assert all(type(d) is int for d in seq.degrees)
+    assert PeriodicDegreeSequence([1, 2]).degrees == (1, 2)
 
 
 @settings(max_examples=200, deadline=None)
