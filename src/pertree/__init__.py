@@ -19,7 +19,6 @@ from .bounds import (
     lambda_ell_lower_period3,
     lambda_ell_period2,
     lambda_g,
-    pemantle_upper,
 )
 from .degrees import PeriodicDegreeSequence, degree_at
 from .oracle import (
@@ -77,7 +76,6 @@ __all__ = [
     "lambda_g",
     "level_return_count",
     "m0_estimates",
-    "pemantle_upper",
     "run_brw",
     "run_contact",
     "star_mean_absorption",

@@ -346,19 +346,6 @@ def lambda2_asymptotic(seq: PeriodicDegreeSequence,
     return c, math.sqrt(c * math.log(n) / n)
 
 
-def pemantle_upper(j1: int, j2: int, n: int, c4: float) -> float:
-    """General-period upper bound on lambda_2 with an explicit constant c4.
-
-    j1, j2 are the two path lengths in the repeating block;
-    r = max(2, ceil((j1+j2)/ln n)).
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    j = j1 + j2
-    r = max(2, math.ceil(j / math.log(n)))
-    return c4 * math.sqrt(r * math.log(r) * math.log(n) / n)
-
-
 # ---------------------------------------------------------------------------
 # Aggregated report
 

@@ -3,9 +3,9 @@
 Exact expected absorption times for the star chain (subtraction-free
 elimination), exact contact-process statistics on tiny explicit graphs
 (full subset chain), branching-random-walk survival on the periodic tree
-(a k-dimensional backward ODE), and exhaustive closed-walk enumeration on
-a materialized ball.  These are the independent side of every
-simulator/DP cross-check.
+(a k-dimensional backward ODE), and exhaustive closed-walk enumeration over
+vertex addresses, which shares no code with :mod:`pertree.tree`.  These are
+the independent side of every simulator/DP cross-check.
 
 Only ``exact_contact_small`` and ``brw_survival`` use scipy, and each
 imports it in its own body, so importing this module (and every command
@@ -21,7 +21,6 @@ import numpy as np
 
 from .degrees import PeriodicDegreeSequence
 from .errors import LimitExceeded, SolveFailure, TooLarge
-from .tree import TreeArena
 
 STAR_MAX_LEAVES = 2000
 GRAPH_MAX_STATES = 16384
@@ -203,32 +202,33 @@ def brw_survival(seq: PeriodicDegreeSequence, lam: float, horizon: float,
 
 def enumerate_closed_walks(seq: PeriodicDegreeSequence, root_residue: int,
                            two_n: int) -> int:
-    """Count closed walks by explicit recursion over the materialized ball.
+    """Count closed walks at the root by explicit recursion over vertex addresses.
 
-    Independent of the first-return DP; small bounds only.
+    The address (u, path) takes u parent steps up the spine from the root,
+    then the child slots in ``path`` down.  Slot 1 of a spine vertex is the
+    vertex below it, so an address with u > 0 never starts ``path`` with 1.
+    The vertex's height residue is (root_residue - u + len(path)) mod k and
+    its tree distance to the root is u + len(path).  Independent of the
+    first-return DP and of the simulator's tree; small bounds only.
     """
     if two_n < 0 or two_n % 2:
         raise ValueError("walk length must be even and nonnegative")
     if two_n > ENUM_MAX_TWO_N:
         raise LimitExceeded(f"walk length {two_n} exceeds the cap {ENUM_MAX_TWO_N}")
-    arena = TreeArena(seq, root_residue, max_vertices=10_000_000)
-    return enumerate_closed_walks_at(arena, arena.root, two_n)
+    degrees, k = seq.degrees, seq.period
 
+    def walks(u: int, path: tuple[int, ...], remaining: int) -> int:
+        if u + len(path) > remaining:   # cannot get back in time
+            return 0
+        if not remaining:
+            return 1
+        remaining -= 1
+        total = walks(u, path[:-1], remaining) if path else walks(u + 1, path, remaining)
+        for slot in range(1, degrees[(root_residue - u + len(path)) % k] + 1):
+            if u and not path and slot == 1:
+                total += walks(u - 1, path, remaining)
+            else:
+                total += walks(u, path + (slot,), remaining)
+        return total
 
-def enumerate_closed_walks_at(arena: TreeArena, vid: int, two_n: int) -> int:
-    """Closed-walk count anchored at an arbitrary materialized vertex."""
-    return _count_walks(arena, vid, vid, two_n)
-
-
-def _count_walks(arena: TreeArena, v: int, target: int, remaining: int) -> int:
-    if remaining == 0:
-        return 1 if v == target else 0
-    # Prune: cannot make it back in the remaining steps.
-    # (distance in a tree >= |height difference|; cheap, safe bound)
-    if abs(arena.heights[v] - arena.heights[target]) > remaining:
-        return 0
-    total = 0
-    total += _count_walks(arena, arena.materialize_parent(v), target, remaining - 1)
-    for child in arena.materialize_children(v):
-        total += _count_walks(arena, child, target, remaining - 1)
-    return total
+    return walks(0, (), two_n)

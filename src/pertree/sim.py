@@ -7,8 +7,8 @@ and transmissions pick a uniform incident edge.  The two differ only in the
 occupancy rule: a contact transmission onto an occupied vertex is a no-op,
 which keeps the chain exact without boundary-rate bookkeeping, while a
 branching random walk stacks particles.  ``run_contact`` and ``run_brw``
-are thin wrappers around that loop, which grows the arena's flat tables
-inline when an edge to a new vertex is first crossed.
+are thin wrappers around that loop, which appends a first-touched child to
+the arena's flat tables inline and has the arena grow the spine.
 
 A vertex's degree depends only on its height residue, so the k residue
 classes of the period share k rates.  Each event draws a class by its total
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degrees import PeriodicDegreeSequence
-from .errors import BracketFailure, LimitExceeded, TooLarge
+from .errors import BracketFailure, CapacityExceeded, LimitExceeded, TooLarge
 from .oracle import check_graph
 from .rng import stream
 from .tree import TreeArena
@@ -75,7 +75,8 @@ class SimConfig:
             raise ValueError("lambda must be finite and >= 0")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.replicas < 1 or self.max_events < 1 or self.max_vertices < 1:
+        if (self.replicas < 1 or self.max_events < 1 or self.max_vertices < 1
+                or self.brw_population_cap < 1):
             raise ValueError("replicas and caps must be >= 1")
         if self.mode not in ("contact", "brw"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -147,7 +148,8 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 #
 # The contact process and the branching random walk share one loop and
 # differ only in the occupancy rule.  The loop reads the arena's flat tables
-# on the hit path and appends a first-touched vertex to them inline.
+# on the hit path and appends a first-touched child to them inline.  A step
+# up from the spine bottom (rare) calls ``TreeArena.materialize_parent``.
 
 # Draws per block.  The first block is small, so a replica that dies after a
 # few events draws little that it never uses; later blocks double up to the cap.
@@ -279,17 +281,13 @@ def _run_tree(config: SimConfig, replica: int, substream: int, exclusive: bool,
             else:
                 cw = (c - 1) % k
                 w = parents[v]
-                if w < 0:   # v is the spine bottom: grow the spine by one
-                    w = len(heights)
-                    if w >= max_vertices:
+                if w < 0:   # v is the spine bottom: the arena grows the spine
+                    try:
+                        w = arena.materialize_parent(v)
+                    except CapacityExceeded:
                         trunc = "vertex_cap"
                         break
-                    heights.append(heights[v] - 1)
-                    parents.append(-1)
                     occupied.append(-1)
-                    parents[v] = w
-                    children[w * stride + 1] = v
-                    arena.spine_bottom = w
             if occupied[w] < 0:
                 mw = members[cw]
                 if exclusive:

@@ -11,8 +11,11 @@ exist; ids are stable and growth is monotone.  A hard cap on the number of
 touched vertices turns runaway growth into an explicit
 :class:`~pertree.errors.CapacityExceeded` instead of unbounded memory use.
 
-The tree engine in :mod:`pertree.sim` reads and grows these tables inline;
-the methods below are the same growth rules for every other caller.
+The tree engine in :mod:`pertree.sim` reads these tables and appends new
+children to them inline; it grows the spine through
+:meth:`TreeArena.materialize_parent`, the only code that creates a spine
+vertex.  The walk oracle in :mod:`pertree.oracle` shares no code with this
+module.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ class TreeArena:
         self.heights: list[int] = []
         self.parents: list[int] = []
         self.children: dict[int, int] = {}   # vid * stride + slot -> child
-        self._child_lists: dict[int, list[int]] = {}
         self.root = self._new_vertex(0, -1)
         self.spine_bottom = self.root
 
@@ -60,11 +62,7 @@ class TreeArena:
 
     def materialize_children(self, vid: int) -> list[int]:
         """All children of ``vid`` in slot order, creating missing ones; idempotent."""
-        kids = self._child_lists.get(vid)
-        if kids is None:
-            kids = [self.neighbor(vid, s) for s in range(1, self.children_count(vid) + 1)]
-            self._child_lists[vid] = kids
-        return kids
+        return [self.neighbor(vid, s) for s in range(1, self.children_count(vid) + 1)]
 
     def materialize_parent(self, vid: int) -> int:
         """Return the parent of ``vid``, extending the spine if needed."""

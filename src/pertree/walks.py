@@ -104,6 +104,8 @@ def m0_estimates(seq: PeriodicDegreeSequence, n_max: int,
     The running maximum of the roots climbs toward the walk growth constant
     (sqrt(a) + sqrt(b) in the period-2 case) from below.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if 2 * n_max > MAX_TWO_N:
         raise LimitExceeded(f"walk length {2 * n_max} exceeds the cap {MAX_TWO_N}")
     closed = _walk_tables(seq, root_residue, n_max)

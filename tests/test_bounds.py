@@ -23,7 +23,6 @@ from pertree.bounds import (
     lambda_ell_period2,
     lambda_g,
     local_bound_cubic_coeffs,
-    pemantle_upper,
     perron_eigenvalue,
     residue_matrix,
 )
@@ -452,15 +451,6 @@ def test_lambda2_asymptotic_invalid_shapes():
 def test_lambda2_asymptotic_warns_when_close():
     with pytest.warns(UserWarning):
         lambda2_asymptotic(seq(90, 100))
-
-
-def test_pemantle_upper():
-    assert pemantle_upper(4, 1, 13, 1.0) == pytest.approx(
-        math.sqrt(2 * math.log(2) * math.log(13) / 13))     # r = 2
-    assert pemantle_upper(0, 0, 100, 1.0) == pytest.approx(0.25266819073307845,
-                                                           abs=1e-12)
-    assert pemantle_upper(3, 4, 50, 2.0) == pytest.approx(
-        2 * pemantle_upper(3, 4, 50, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,24 @@ def test_cp_threads_that_is_not_an_integer_is_a_usage_error(capsys, monkeypatch)
     assert "usage error: CP_THREADS must be an integer, got 'two'" in capsys.readouterr().err
 
 
+def test_brw_population_cap_below_one_is_a_usage_error(capsys):
+    # a cap of 0 used to truncate every first birth and count it as survival
+    assert main(["sweep", "--degrees", "3,4", "--lambda-grid", "0.2:0.3:0.1",
+                 "--horizon", "5", "--replicas", "20", "--mode", "brw",
+                 "--brw-population-cap", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: replicas and caps must be >= 1" in captured.err
+
+
+def test_walks_nmax_below_one_is_a_usage_error(capsys):
+    for nmax in ("0", "-3"):
+        assert main(["walks", "--degrees", "3,4", "--nmax", nmax]) == 1, nmax
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: n_max must be >= 1" in captured.err
+
+
 def test_oracle_without_mode_is_a_usage_error(capsys):
     assert main(["oracle", "--lambda", "0.5"]) == 1
     assert "usage error: oracle needs" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 """Exact oracles: star absorption solves, subset chains, walk enumeration."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,10 @@ from pertree.errors import LimitExceeded, SolveFailure, TooLarge
 from pertree.oracle import (
     brw_survival,
     enumerate_closed_walks,
-    enumerate_closed_walks_at,
     exact_contact_small,
     star_mean_absorption,
 )
 from pertree.sim import SimConfig, run_brw
-from pertree.tree import TreeArena
 from pertree.walks import closed_walk_count
 
 # Expected absorption times from (0, 1), frozen from an independent dense
@@ -212,16 +212,30 @@ def test_enumeration_matches_dp():
                     closed_walk_count(seq, residue, two_n)
 
 
-def test_enumeration_anchor_independence():
-    # two anchors of the same residue class count the same walks
-    seq = PeriodicDegreeSequence((2, 3))
-    arena = TreeArena(seq, max_vertices=10_000_000)
-    v = arena.root
-    for _ in range(seq.period):
-        v = arena.materialize_children(v)[0]
-    for two_n in (2, 4, 6):
-        assert enumerate_closed_walks_at(arena, v, two_n) == \
-            enumerate_closed_walks_at(arena, arena.root, two_n)
+def test_enumeration_rotation():
+    # residue r of (a_0, ..., a_{k-1}) is residue 0 of the sequence rotated by r
+    for degs in [(2, 3), (1, 2, 5), (3, 1, 1, 2)]:
+        seq = PeriodicDegreeSequence(degs)
+        for r in range(len(degs)):
+            rotated = PeriodicDegreeSequence(degs[r:] + degs[:r])
+            for two_n in (0, 2, 4, 6):
+                assert enumerate_closed_walks(seq, r, two_n) == \
+                    enumerate_closed_walks(rotated, 0, two_n)
+
+
+def test_oracle_imports_nothing_from_the_tree():
+    # the walk oracle must stay independent of the simulator's tree
+    import pertree.oracle
+
+    parsed = ast.parse(Path(pertree.oracle.__file__).read_text())
+    for node in ast.walk(parsed):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            assert module not in (".tree", "pertree.tree"), module
+            assert not (module in (".", "pertree")
+                        and any(a.name == "tree" for a in node.names)), module
+        elif isinstance(node, ast.Import):
+            assert all(not a.name.startswith("pertree.tree") for a in node.names)
 
 
 def test_enumeration_limit():

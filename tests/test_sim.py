@@ -452,6 +452,32 @@ def test_vertex_cap_truncation():
     assert out.truncated and out.truncation_reason == "vertex_cap"
 
 
+def test_spine_step_at_the_vertex_cap_goes_through_the_arena(monkeypatch):
+    calls = []
+
+    class CountingArena(sim.TreeArena):
+        def materialize_parent(self, vid):
+            calls.append(vid)
+            return super().materialize_parent(vid)
+
+    monkeypatch.setattr(sim, "TreeArena", CountingArena)
+    spine_steps = 0
+    for mode, runner in (("contact", run_contact), ("brw", run_brw)):
+        c = config(degrees=seq(1), lam=5.0, horizon=50.0, max_vertices=1, mode=mode)
+        for replica in range(20):
+            calls.clear()
+            out = runner(c, replica=replica)
+            if calls:   # the first event was a step up from the root
+                assert calls == [0]
+                assert out.events == 1 and out.peak_infected == 1
+                assert out.truncated and out.truncation_reason == "vertex_cap"
+                spine_steps += 1
+            else:   # a death, or a step down to a child at the cap
+                assert out.events == 1
+                assert out.extinct or out.truncation_reason == "vertex_cap"
+    assert spine_steps >= 5
+
+
 # ---------------------------------------------------------------------------
 # Star chain vs the exact solve
 
@@ -785,6 +811,9 @@ def test_config_validation():
         config(replicas=0)
     with pytest.raises(ValueError):
         config(mode="sir")
+    for cap in (0, -3):   # a cap of 0 truncated every first birth
+        with pytest.raises(ValueError, match="caps must be >= 1"):
+            config(mode="brw", brw_population_cap=cap)
 
 
 def test_config_rejects_negative_lambda():

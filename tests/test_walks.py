@@ -58,6 +58,13 @@ def test_odd_or_negative_length_rejected():
         closed_walk_count(seq(3, 4), 0, -2)
 
 
+def test_m0_estimates_rejects_nmax_below_one():
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            m0_estimates(seq(3, 4), n_max)
+    assert m0_estimates(seq(3, 4), 1).counts == [closed_walk_count(seq(3, 4), 0, 2)]
+
+
 def test_limit_exceeded():
     with pytest.raises(LimitExceeded):
         closed_walk_count(seq(3, 4), 0, 42)
