@@ -301,7 +301,10 @@ def cmd_oracle(args) -> int:
         _require(args, "lam")
         neighbors: dict[int, list[int]] = {}
         for part in args.edges.split(","):
-            a, b = (int(x) for x in part.split("-"))
+            try:
+                a, b = (int(x) for x in part.split("-"))
+            except ValueError:
+                raise ValueError(f"edge {part!r} is not of the form v-w") from None
             neighbors.setdefault(a, []).append(b)
             neighbors.setdefault(b, []).append(a)
         mean_time, mean_visits = exact_contact_small(neighbors, args.lam, args.root)

@@ -2,14 +2,14 @@
 
 Exact expected absorption times for the star chain (subtraction-free
 elimination), exact contact-process statistics on tiny explicit graphs
-(full subset chain), branching-random-walk survival on the periodic tree
-(a k-dimensional backward ODE), and exhaustive closed-walk enumeration over
-vertex addresses, which shares no code with :mod:`pertree.tree`.  These are
-the independent side of every simulator/DP cross-check.
+(the full subset chain, solved level by level), branching-random-walk
+survival on the periodic tree (a k-dimensional backward ODE), and
+exhaustive closed-walk enumeration over vertex addresses, which shares no
+code with :mod:`pertree.tree`.  These are the independent side of every
+simulator/DP cross-check.
 
-Only ``exact_contact_small`` and ``brw_survival`` use scipy, and each
-imports it in its own body, so importing this module (and every command
-but ``pertree oracle --edges``) never loads scipy.
+Only ``brw_survival`` uses scipy, and it imports it in its own body, so
+importing this module (and every command) never loads scipy.
 """
 
 from __future__ import annotations
@@ -118,53 +118,78 @@ def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
                         root: int) -> tuple[float, float]:
     """Exact (mean extinction time, mean root reinfections) from {root}.
 
-    Builds the full continuous-time chain on vertex subsets and solves two
-    first-step systems: absorption time, and the expected number of
-    transitions that reinfect the root.
+    Solves the first-step equations of the full chain on vertex subsets for
+    two right-hand sides: absorption time, and the expected number of
+    transitions that reinfect the root.  A subset of l infected vertices is
+    at level l.  A recovery moves one level down at rate 1, an infection one
+    level up at rate lam * (infected neighbours), and no transition stays in
+    a level, so level l reads D_l x_l - A_l x_{l-1} - C_l x_{l+1} = b_l with
+    D_l diagonal.  Eliminating from the top level down gives
+    x_l = y_l + M_l x_{l-1}, where [M_l | y_l] solves
+    S_l [M_l | y_l] = [A_l | b_l + C_l y_{l+1}] against the Schur complement
+    S_l = D_l - C_l M_{l+1}; back-substitution runs up from x_0 = 0
+    (linear level reduction: Gaver, Jacobs & Latouche 1984).
     """
-    from scipy.sparse import lil_matrix
-    from scipy.sparse.linalg import spsolve
-
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and >= 0")
     verts = check_graph(neighbors, root)
     vmap = {v: i for i, v in enumerate(verts)}
     nv = len(verts)
-    nbr_idx = [[vmap[w] for w in neighbors[v]] for v in verts]
     r = vmap[root]
+    adj = np.zeros((nv, nv), dtype=np.int64)
+    for v in verts:
+        adj[vmap[v], [vmap[w] for w in neighbors[v]]] = 1
 
-    nstates = (1 << nv) - 1  # transient: nonempty subsets, shifted by 1
-    gen = lil_matrix((nstates, nstates))
-    time_rhs = np.ones(nstates)
-    visit_rhs = np.zeros(nstates)
-    for s in range(1, 1 << nv):
-        total = 0.0
-        for v in range(nv):
-            if s >> v & 1:
-                rate = 1.0
-                target = s & ~(1 << v)
-                total += rate
-                if target:
-                    gen[s - 1, target - 1] -= rate
-            else:
-                k = sum(1 for w in nbr_idx[v] if s >> w & 1)
-                if k:
-                    rate = lam * k
-                    total += rate
-                    gen[s - 1, (s | 1 << v) - 1] -= rate
-                    if v == r:
-                        visit_rhs[s - 1] += rate
-        gen[s - 1, s - 1] = total
-    gen = gen.tocsr()
-    mean_time = spsolve(gen, time_rhs)
-    mean_visits = spsolve(gen, visit_rhs)
-    res = max(np.max(np.abs(gen @ mean_time - time_rhs)),
-              np.max(np.abs(gen @ mean_visits - visit_rhs)))
-    scale = max(1.0, float(np.max(np.abs(mean_time))))
+    codes = np.arange(1 << nv)
+    bits = codes[:, None] >> np.arange(nv) & 1        # bits[s, v]: v infected in s
+    level = bits.sum(axis=1)
+    order = np.argsort(level, kind="stable")         # subsets grouped by level
+    starts = np.concatenate(([0], np.cumsum(np.bincount(level))))
+    pos = np.empty_like(codes)                       # index of a subset in its level
+    pos[order] = codes - starts[level[order]]
+    pressure = lam * (bits @ adj)                    # infection rate onto v in s
+
+    blocks = [None]   # level l: down targets, up targets, up rates, D_l, b_l
+    for l in range(1, nv + 1):
+        s = order[starts[l]:starts[l + 1]]
+        rows, vs = np.nonzero(bits[s])
+        down = pos[s[rows] ^ (1 << vs)].reshape(len(s), l)
+        rows, vs = np.nonzero(1 - bits[s])
+        up = pos[s[rows] | (1 << vs)].reshape(len(s), nv - l)
+        rate = pressure[s[rows], vs].reshape(len(s), nv - l)
+        rhs = np.stack([np.ones(len(s)), pressure[s, r] * (1 - bits[s, r])], axis=1)
+        blocks.append((down, up, rate, l + rate.sum(axis=1), rhs))
+
+    solved = [None] * (nv + 1)   # level l: [M_l | y_l]
+    for l in range(nv, 0, -1):
+        down, up, rate, diag, rhs = blocks[l]
+        m = len(diag)
+        folded = np.zeros((m, m + 2))   # C_l [M_{l+1} | y_{l+1}]
+        for j in range(nv - l):
+            folded += rate[:, j, None] * solved[l + 1][up[:, j]]
+        # S_l's rows sum to l, because every row of M_{l+1} sums to 1: take
+        # its diagonal from that, a sum of rates, not the difference D_l - C_l M_{l+1}
+        schur = -folded[:, :m]
+        np.fill_diagonal(schur, 0.0)
+        np.fill_diagonal(schur, l - schur.sum(axis=1))
+        stacked = np.zeros((m, starts[l] - starts[l - 1] + 2))
+        stacked[np.arange(m)[:, None], down] = 1.0
+        stacked[:, -2:] = rhs + folded[:, m:]
+        solved[l] = np.linalg.solve(schur, stacked)
+
+    xs = [np.zeros((1, 2))]   # x_0: the empty set, already absorbed
+    for l in range(1, nv + 1):
+        xs.append(solved[l][:, -2:] + solved[l][:, :-2] @ xs[-1])
+        solved[l] = None
+    xs.append(np.zeros((0, 2)))
+    res = max(float(np.max(np.abs(diag[:, None] * xs[l] - xs[l - 1][down].sum(axis=1)
+                                  - (rate[:, :, None] * xs[l + 1][up]).sum(axis=1) - rhs)))
+              for l, (down, up, rate, diag, rhs) in enumerate(blocks[1:], start=1))
+    scale = max(1.0, max(float(np.max(np.abs(x[:, 0]))) for x in xs[1:-1]))
     if res > SOLVE_RESIDUAL_TOL * scale:
         raise SolveFailure(f"subset-chain solve residual {res} too large")
-    start = (1 << r) - 1
-    return float(mean_time[start]), float(mean_visits[start])
+    start = xs[1][pos[1 << r]]
+    return float(start[0]), float(start[1])
 
 
 def brw_survival(seq: PeriodicDegreeSequence, lam: float, horizon: float,

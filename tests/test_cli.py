@@ -444,7 +444,11 @@ def test_bounds_large_period2(capsys):
 
 def test_oracle_bad_edges_are_a_usage_error(capsys):
     for edges, message in (("0-0", "self-loop at vertex 0"),
-                           ("0-1,1-0", "edge 0-1 is listed twice at 0")):
+                           ("0-1,1-0", "edge 0-1 is listed twice at 0"),
+                           ("0-1-2", "edge '0-1-2' is not of the form v-w"),
+                           ("0--1", "edge '0--1' is not of the form v-w"),
+                           ("0-1,,1-2", "edge '' is not of the form v-w"),
+                           ("0-x", "edge '0-x' is not of the form v-w")):
         assert main(["oracle", "--edges", edges, "--lambda", "1.0"]) == 1, edges
         captured = capsys.readouterr()
         assert f"usage error: {message}" in captured.err, edges

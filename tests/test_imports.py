@@ -1,9 +1,9 @@
-"""Start-up cost: no command but the subset-chain oracle loads scipy.
+"""Start-up cost: no command loads scipy.
 
-``oracle.exact_contact_small`` (``pertree oracle --edges``) and
-``oracle.brw_survival`` import scipy in their own bodies.  The check runs
-in a fresh interpreter, because this test process already holds scipy
-through other tests.
+Only ``oracle.brw_survival`` uses scipy, and it imports it in its own
+body; ``oracle.exact_contact_small`` (``pertree oracle --edges``) solves
+with numpy alone.  The check runs in a fresh interpreter, because this
+test process already holds scipy through other tests.
 """
 
 import json
@@ -54,7 +54,7 @@ print(json.dumps(report))
 """
 
 
-def test_only_the_subset_chain_oracle_loads_scipy():
+def test_only_brw_survival_loads_scipy():
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(COMMANDS)],
                           capture_output=True, text=True, timeout=120,
                           env={"PYTHONPATH": SRC}, check=True)
@@ -63,7 +63,7 @@ def test_only_the_subset_chain_oracle_loads_scipy():
     assert report["codes"] == [0] * len(COMMANDS)
     assert report["after_commands"] == []
     assert report["edges_code"] == 0
-    assert "scipy.sparse.linalg" in report["after_edges"]
+    assert report["after_edges"] == []
     assert "scipy.integrate" in report["after_brw_survival"]
 
 

@@ -2,9 +2,11 @@
 
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +198,68 @@ def test_exact_contact_too_large():
     adj = {i: [] for i in range(15)}
     with pytest.raises(TooLarge):
         exact_contact_small(adj, 0.5, 0)
+
+
+def star_graph(leaves):
+    return {0: list(range(1, leaves + 1)), **{i: [0] for i in range(1, leaves + 1)}}
+
+
+@pytest.mark.parametrize("leaves, lam", [(n, lam) for n in range(1, 11)
+                                         for lam in (0.0, 0.3, 1.0, 2.5)] + [(12, 1.0)])
+def test_exact_contact_on_a_star_matches_the_star_oracle(leaves, lam):
+    # Two independent solves of one chain: the subset chain from the center
+    # or a leaf, and the star chain from (0 leaves, center) or (1 leaf, no center).
+    times = star_mean_absorption(leaves, lam).expected_time
+    graph = star_graph(leaves)
+    assert exact_contact_small(graph, lam, 0)[0] == pytest.approx(times[(0, 1)], rel=1e-10)
+    assert exact_contact_small(graph, lam, 1)[0] == pytest.approx(times[(1, 0)], rel=1e-10)
+
+
+def test_exact_contact_stays_accurate_when_times_are_long():
+    # About 1.2e5 from the center: a Schur diagonal taken as D_l - C_l M_{l+1}
+    # is off by 2.7e-11 relative here, a sparse LU of the whole chain by
+    # 7e-10, the subtraction-free diagonal by about 1e-15.
+    times = star_mean_absorption(10, 5.0).expected_time
+    assert exact_contact_small(star_graph(10), 5.0, 0)[0] == pytest.approx(times[(0, 1)],
+                                                                           rel=1e-12)
+
+
+def full_chain_solve(neighbors, lam, root):
+    """Reference: one dense solve of the first-step equations over all subsets."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(neighbors))}
+    size = (1 << len(neighbors)) - 1
+    gen, rhs = np.zeros((size, size)), np.zeros((size, 2))
+    rhs[:, 0] = 1.0
+    for s in range(1, size + 1):
+        for v in neighbors:
+            if s & bit[v]:
+                rate, target = 1.0, s & ~bit[v]
+            else:
+                rate = lam * sum(1 for w in neighbors[v] if s & bit[w])
+                target = s | bit[v]
+                if v == root:
+                    rhs[s - 1, 1] += rate
+            gen[s - 1, s - 1] += rate
+            if target:
+                gen[s - 1, target - 1] -= rate
+    x = np.linalg.solve(gen, rhs)[bit[root] - 1]
+    return float(x[0]), float(x[1])
+
+
+def test_exact_contact_matches_the_full_chain_solve():
+    rng = random.Random(19)
+    for _ in range(30):
+        labels = rng.sample(range(100), rng.randint(1, 8))
+        graph = {v: [] for v in labels}
+        for i, v in enumerate(labels):
+            for w in labels[:i]:
+                if rng.random() < 0.4:
+                    graph[v].append(w)
+                    graph[w].append(v)
+        root = rng.choice(labels)
+        for lam in (0.0, 0.3, 1.0):
+            got, want = exact_contact_small(graph, lam, root), full_chain_solve(graph, lam, root)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (graph, lam, root)
 
 
 def test_enumeration_basics():
