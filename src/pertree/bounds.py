@@ -2,16 +2,27 @@
 
 Covers the growth-rate critical value ``lambda_g`` (Perron eigenvalue of
 the residue matrix), the oriented-branching upper bound on ``lambda_1``,
-local-survival lower bounds for periods 2 and 3 (the latter through a
-cubic in ``x = 1/lambda^2``), harmonic weights, and the asymptotic
-predictor for ``lambda_2`` on single-dominant-degree trees.
+the local-survival lower bound ``lambda_ell`` of every period, the
+paper's period-2 and period-3 closed forms (the latter through a cubic in
+``x = 1/lambda^2``), harmonic weights, and the asymptotic predictor for
+``lambda_2`` on single-dominant-degree trees.
+
+One recurrence carries every spectral quantity.  M(x) is the product of the
+period's transfer matrices [[0, 1], [-g(i), x]]; its trace T(x) is a monic
+polynomial of degree k with only real roots.  The Perron eigenvalue of the
+residue matrix is the largest root of T(x) = 1 + prod g(i), and the tree's
+spectral radius rho, the band edge of its periodic Jacobi operator, is the
+largest root of T(x) = 2 sqrt(prod g(i)); ``lambda_ell = 1/rho``.  For
+period 3, T(x) = x^3 - (a+b+c) x, so y = rho^2 solves the paper's cubic
+y (y - s)^2 = 4abc.
 
 Harmonic weights are positive g_0, ..., g_{k-1} with
 ``g_i (g(i) g_{i+1} + 1/g_i - 1/lambda) = 0``.  Equation i is the Moebius map
-``g_i = 1/(1/lambda - g(i) g_{i+1})``; once round the period the maps fix
-g_0, so every period needs one quadratic.  Its smaller root is the branch
-that continues to the local bound: for period 2 the weights reach
-g_0 = 1/sqrt(b) and g_1 = 1/sqrt(a) at the rate 1/(sqrt(a) + sqrt(b)).
+``g_i = 1/(1/lambda - g(i) g_{i+1})``; once round the period the maps, the
+same product M(1/lambda), fix g_0, so every period needs one quadratic.  Its
+smaller root is the branch that continues to the local bound: for period 2
+the weights reach g_0 = 1/sqrt(b) and g_1 = 1/sqrt(a) at the rate
+1/(sqrt(a) + sqrt(b)).
 """
 
 from __future__ import annotations
@@ -34,7 +45,6 @@ from .errors import (
     Subcritical,
 )
 
-ROOT_RESIDUAL_RTOL = 1e-9
 WEIGHT_RESIDUAL_ATOL = 1e-10
 DOMINANCE_EPSILON = 0.05
 
@@ -65,36 +75,63 @@ def perron_eigenvalue(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvals(matrix).real.max())
 
 
-def charpoly_perron(seq: PeriodicDegreeSequence) -> float:
-    """Closed-form dominant eigenvalue of the residue matrix, k <= 3 only.
+def _transfer(seq: PeriodicDegreeSequence, x):
+    """Entries A, B, C, D of the product of the maps [[0, 1], [-g(i), x]]."""
+    A, B, C, D = 1.0, 0.0, 0.0, 1.0
+    for deg in seq.degrees:
+        A, B, C, D = -deg * B, A + x * B, -deg * D, C + x * D
+    return A, B, C, D
 
-    k=1: d+1.  k=2: sqrt((a+1)(b+1)).  k=3: largest real root of
-    x^3 - (a+b+c) x - (abc+1).
+
+def _trace_root(seq: PeriodicDegreeSequence, level: float) -> float:
+    """Largest x with trace M(x) = ``level``, for a level >= 2 sqrt(prod g(i)).
+
+    On the k bands the trace takes every value within 2 sqrt(prod g(i)) of
+    zero, so it and its derivatives have only real roots, none above the
+    band edge.  Past the edge the trace rises and is convex, and Newton's
+    method started at max g(i) + 2, above both the Perron eigenvalue and the
+    band edge, falls monotonically to the root.  The derivative is a complex
+    step through the recurrence.  A rounded step can land below the root;
+    the step back up from there is the last one.
     """
-    degs = seq.degrees
-    if seq.period == 1:
-        return float(degs[0] + 1)
-    if seq.period == 2:
-        return math.sqrt((degs[0] + 1) * (degs[1] + 1))
-    if seq.period == 3:
-        a, b, c = degs
-        roots = cubic_real_roots(1.0, 0.0, -(a + b + c), -(a * b * c + 1))
-        return roots.roots[-1]
-    raise ValueError("closed form only available for period <= 3")
+    h = 1e-100
+    x = max(seq.degrees) + 2.0
+    while True:
+        A, _, _, D = _transfer(seq, complex(x, h))
+        trace = A + D
+        nxt = x - (trace.real - level) * h / trace.imag
+        if not nxt < x:
+            if not math.isfinite(nxt):
+                raise NonConvergence(f"transfer-matrix trace of period {seq.period} overflows")
+            return nxt
+        x = nxt
+
+
+def _spectral_radius(seq: PeriodicDegreeSequence) -> float:
+    """Spectral radius of the tree: the upper band edge, trace M(x) = 2 sqrt(prod g(i))."""
+    return _trace_root(seq, 2.0 * math.sqrt(math.prod(map(float, seq.degrees))))
+
+
+def charpoly_perron(seq: PeriodicDegreeSequence) -> float:
+    """Dominant eigenvalue of the residue matrix from its characteristic polynomial.
+
+    That polynomial is trace M(x) - (1 + prod g(i)).  k=1: d+1.
+    k=2: sqrt((a+1)(b+1)).  k=3: largest real root of x^3 - (a+b+c) x - (abc+1).
+    """
+    return _trace_root(seq, 1.0 + math.prod(map(float, seq.degrees)))
 
 
 def lambda_g(seq: PeriodicDegreeSequence) -> float:
     """Critical rate for global survival of the branching random walk.
 
     Reciprocal of the Perron eigenvalue of the residue matrix; cross-checked
-    against the characteristic-polynomial closed form when the period is <= 3.
+    against the root of its characteristic polynomial.
     """
     big = perron_eigenvalue(residue_matrix(seq))
-    if seq.period <= 3:
-        ref = charpoly_perron(seq)
-        if abs(big - ref) > 1e-9 * ref:
-            raise NonConvergence(
-                f"eigenvalue solve ({big}) disagrees with closed form ({ref})")
+    ref = charpoly_perron(seq)
+    if abs(big - ref) > 1e-9 * ref:
+        raise NonConvergence(
+            f"eigenvalue solve ({big}) disagrees with the trace root ({ref})")
     return 1.0 / big
 
 
@@ -239,18 +276,21 @@ class HarmonicWeights:
 
 def _harmonic_weights(seq: PeriodicDegreeSequence, lam: float,
                       error: type[NumericalError]) -> HarmonicWeights:
-    """Harmonic weights of any period at rate ``lam``; failures raise ``error``.
+    """Harmonic weights of any period at rate ``lam`` <= 1/rho; failures raise ``error``.
 
     The product [[A, B], [C, D]] of the maps [[0, 1], [-g(i), 1/lam]] fixes
     g_0, the smaller root of ``C g^2 + (D - A) g - B = 0``.  The roots are
     taken without cancellation, and g_i follows from g_{i+1} stepping back.
+    Above 1/rho, rho the spectral radius, the quadratic can have real roots
+    again, off the branch that continues to the boundary.
     """
     if not lam > 0:
         raise ValueError(f"rate must be positive, got {lam}")
+    bound = 1.0 / _spectral_radius(seq)
+    if lam > bound * (1.0 + 1e-9):
+        raise error(f"rate {lam} exceeds the bound {bound}")
     inv = 1.0 / lam
-    A, B, C, D = 1.0, 0.0, 0.0, 1.0
-    for deg in seq.degrees:
-        A, B, C, D = -deg * B, A + inv * B, -deg * D, C + inv * D
+    A, B, C, D = _transfer(seq, inv)
     lin, trace = D - A, A + D
     # (D - A)^2 + 4BC cancels near the bound; trace^2 - 4 det, with the exact
     # det = prod g(i), is the same number without that loss.  At the bound,
@@ -278,21 +318,11 @@ def _harmonic_weights(seq: PeriodicDegreeSequence, lam: float,
 
 def harmonic_weights_period2(a: int, b: int, lam: float) -> HarmonicWeights:
     """Solve the period-2 weight system at rate ``lam`` <= 1/(sqrt(a)+sqrt(b))."""
-    lam0 = lambda_ell_period2(a, b)
-    if lam > lam0 * (1.0 + 1e-9):
-        raise NoRealSolution(f"rate {lam} exceeds the bound {lam0}")
     return _harmonic_weights(PeriodicDegreeSequence((a, b)), lam, NoRealSolution)
 
 
 def harmonic_weights_period3(a: int, b: int, c: int, lam: float) -> HarmonicWeights:
-    """Solve the period-3 weight system at rate ``lam`` <= 1/sqrt(x0).
-
-    Above that bound the quadratic can have real roots again, off the branch
-    that continues to the boundary.
-    """
-    _, bound = lambda_ell_lower_period3(a, b, c)
-    if lam > bound * (1.0 + 1e-9):
-        raise NoPositiveSolution(f"rate {lam} exceeds the bound {bound}")
+    """Solve the period-3 weight system at rate ``lam`` <= 1/sqrt(x0)."""
     return _harmonic_weights(PeriodicDegreeSequence((a, b, c)), lam,
                              NoPositiveSolution)
 
@@ -379,22 +409,15 @@ class BoundsReport:
 
 def bounds_report(seq: PeriodicDegreeSequence) -> BoundsReport:
     """All applicable closed-form bounds for one degree sequence."""
-    report = BoundsReport(seq, lambda_g=lambda_g(seq))
+    rho = _spectral_radius(seq)
+    # x0 = rho^2 is the largest root of the paper's period-3 cubic.
+    report = BoundsReport(seq, lambda_g=lambda_g(seq), lambda_ell_lower=1.0 / rho,
+                          x0=rho * rho if seq.period == 3 else None)
     try:
         report.lambda1_upper = lambda1_upper(seq)
     except Subcritical:
         report.notes.append("lambda1 upper bound unavailable: "
                             "oriented branching is subcritical")
-    k = seq.period
-    if k == 1:
-        d = seq.degrees[0]
-        report.lambda_ell_lower = lambda_ell_period2(d, d)
-    elif k == 2:
-        report.lambda_ell_lower = lambda_ell_period2(*seq.degrees)
-    elif k == 3:
-        report.x0, report.lambda_ell_lower = lambda_ell_lower_period3(*seq.degrees)
-    else:
-        report.notes.append("no closed-form local bound for period > 3")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

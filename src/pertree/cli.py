@@ -259,18 +259,20 @@ def cmd_simulate(args) -> int:
 def cmd_star(args) -> int:
     if args.replicas < 1:
         raise ValueError("replicas must be >= 1")
+    for dest, stop in (("level", "reach"), ("horizon", "horizon")):
+        if getattr(args, dest) is not None and args.stop != stop:
+            raise ValueError(f"--{dest} needs --stop {stop}")
     if args.stop == "reach" and args.level is None:
         raise ValueError("stop='reach' needs a level")
     if args.stop == "horizon" and not (args.horizon is not None and args.horizon > 0):
         raise ValueError("stop='horizon' needs a positive horizon")
-    level = args.level if args.stop == "reach" else None
-    horizon = args.horizon if args.stop == "horizon" else math.inf
+    horizon = math.inf if args.horizon is None else args.horizon
     init = StarState(args.n, args.j, args.center)
-    runs = star_runs(args.n, args.lam, init, args.replicas, args.seed, level, horizon)
+    runs = star_runs(args.n, args.lam, init, args.replicas, args.seed, args.level, horizon)
     rows = []
     for i, (t, peak, area) in enumerate(zip(*(a.tolist() for a in runs))):
         hit = ("horizon" if t == horizon else
-               "reach" if level is not None and peak >= level else "absorb")
+               "reach" if args.level is not None and peak >= args.level else "absorb")
         rows.append([i, hit, repr(t), peak, repr(area / t if t else 0.0)])
     _emit(_csv_text(["replica", "hit", "time", "peak", "time_avg_leaves"], rows),
           args)
@@ -291,6 +293,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if (args.star_n, args.edges, args.enumerate_degrees).count(None) != 2:
+        raise ValueError("oracle needs exactly one of --star-n, --edges or --enumerate-degrees")
     if args.star_n is not None:
         _require(args, "lam")
         solve = star_mean_absorption(args.star_n, args.lam)
@@ -311,13 +315,11 @@ def cmd_oracle(args) -> int:
         payload = {"edges": args.edges, "lambda": args.lam, "root": args.root,
                    "mean_extinction_time": mean_time,
                    "mean_root_visits": mean_visits}
-    elif args.enumerate_degrees is not None:
+    else:
         seq = PeriodicDegreeSequence.parse(args.enumerate_degrees)
         count = enumerate_closed_walks(seq, args.residue, args.two_n)
         payload = {"degrees": str(seq), "residue": args.residue,
                    "two_n": args.two_n, "count": count}
-    else:
-        raise ValueError("oracle needs --star-n, --edges or --enumerate-degrees")
     _emit(json.dumps(payload, indent=2) + "\n", args)
     return 0
 

@@ -90,13 +90,16 @@ def star_mean_absorption(n: int, lam: float) -> AbsorptionSolve:
     return AbsorptionSolve(n, lam, expected, residual)
 
 
-def check_graph(neighbors: dict[int, list[int]], root: int) -> list[int]:
-    """The sorted vertices of an explicit graph, checked for the subset chains.
+def check_graph(neighbors: dict[int, list[int]], lam: float, root: int) -> list[int]:
+    """The sorted vertices of an explicit graph, checked with the rate for the subset chains.
 
-    The graph must be simple and undirected: every neighbor is a vertex,
-    and every edge is listed once from each end, with no self-loops.  The
-    root must be a vertex, and the 2^|V| subsets must fit ``GRAPH_MAX_STATES``.
+    The rate must be finite and >= 0.  The graph must be simple and
+    undirected: every neighbor is a vertex, and every edge is listed once
+    from each end, with no self-loops.  The root must be a vertex, and the
+    2^|V| subsets must fit ``GRAPH_MAX_STATES``.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and >= 0")
     if root not in neighbors:
         raise ValueError(f"root {root} is not a vertex of the graph")
     if 1 << len(neighbors) > GRAPH_MAX_STATES:
@@ -130,9 +133,7 @@ def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
     S_l = D_l - C_l M_{l+1}; back-substitution runs up from x_0 = 0
     (linear level reduction: Gaver, Jacobs & Latouche 1984).
     """
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("lambda must be finite and >= 0")
-    verts = check_graph(neighbors, root)
+    verts = check_graph(neighbors, lam, root)
     vmap = {v: i for i, v in enumerate(verts)}
     nv = len(verts)
     r = vmap[root]

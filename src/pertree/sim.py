@@ -416,7 +416,7 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
     the event engine against the exact subset-chain oracle at scale.  A batch
     still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
     """
-    verts = check_graph(neighbors, root)
+    verts = check_graph(neighbors, lam, root)
     vmap = {v: i for i, v in enumerate(verts)}
     nv = len(verts)
     adj = np.zeros((nv, nv))
@@ -536,6 +536,8 @@ def survival_curve(seq: PeriodicDegreeSequence, lam: float, horizon: float,
     Replica i draws from the stream keyed (seed, i, substream); truncated
     replicas count as survived (optimistic labeling, by design).
     """
+    if criterion not in ("global", "local"):
+        raise ValueError(f"unknown criterion {criterion!r}")
     config = SimConfig(seq, lam, horizon, root_residue, max_events,
                        max_vertices, seed, replicas, mode, brw_population_cap)
     outcomes = run_replicas(config, substream)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from pertree.degrees import PeriodicDegreeSequence
 from pertree.errors import (
     DegenerateLeadingCoefficient,
     InvalidShape,
+    NonConvergence,
     NoPositiveSolution,
     NoRealSolution,
     Subcritical,
@@ -84,6 +86,65 @@ def test_perron_matches_numpy_eigenvalues_general_k():
         mat = residue_matrix(seq(*degs))
         ref = max(abs(np.linalg.eigvals(mat)))
         assert perron_eigenvalue(mat) == pytest.approx(ref, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The transfer-matrix trace: Perron eigenvalue and band edge of every period
+
+
+def _shapes(seed, periods, count):
+    """Degree sequences with log-uniform degrees in [1, 10^6]."""
+    rng = random.Random(seed)
+    return [tuple(round(10 ** rng.uniform(0, 6)) for _ in range(rng.choice(periods)))
+            for _ in range(count)]
+
+
+def test_trace_root_matches_the_perron_eigenvalue_of_every_period():
+    for degs in _shapes(2027, range(1, 9), 400):
+        big = perron_eigenvalue(residue_matrix(seq(*degs)))
+        assert abs(charpoly_perron(seq(*degs)) - big) <= 1e-12 * big, degs
+
+
+def test_trace_root_matches_the_paper_closed_forms():
+    # lambda_ell_lower_period3 is itself off by a few 1e-12, hence 1e-11.
+    for degs in _shapes(2026, (1, 2, 3), 300):
+        got = bounds_report(seq(*degs)).lambda_ell_lower
+        if len(degs) == 3:
+            ref = lambda_ell_lower_period3(*degs)[1]
+        else:
+            ref = lambda_ell_period2(degs[0], degs[-1])
+        assert abs(got - ref) <= 1e-11 * ref, degs
+
+
+def test_band_edge_squared_brackets_the_cubic_root_exactly():
+    # y (y - s)^2 - 4abc rises past s, where it is -4abc, so a sign change
+    # across [x0 (1 - 1e-13), x0 (1 + 1e-13)] above s pins its largest root.
+    for a, b, c in _shapes(2028, (3,), 200):
+        s = a + b + c
+        x0 = Fraction(bounds_report(seq(a, b, c)).x0)
+        lo, hi = x0 * (1 - Fraction(1, 10 ** 13)), x0 * (1 + Fraction(1, 10 ** 13))
+        assert lo > s, (a, b, c)
+        assert lo * (lo - s) ** 2 < 4 * a * b * c < hi * (hi - s) ** 2, (a, b, c)
+
+
+def test_lambda_ell_of_longer_periods_pinned():
+    assert bounds_report(seq(2, 3, 4, 5)).lambda_ell_lower == pytest.approx(
+        0.26801248376045705, rel=1e-14)
+    assert bounds_report(seq(1, 2, 3, 50)).lambda_ell_lower == pytest.approx(
+        0.135145664429903, rel=1e-14)
+
+
+def test_x0_is_reported_for_period_3_only():
+    for degs in [(4,), (3, 4), (2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5)]:
+        rep = bounds_report(seq(*degs))
+        assert (rep.x0 is not None) == (len(degs) == 3)
+        assert rep.notes == []
+
+
+def test_trace_overflow_is_a_numerical_error():
+    # (1000 + 2)^200 is past the largest double.
+    with pytest.raises(NonConvergence, match="overflows"):
+        charpoly_perron(seq(*[1000] * 200))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,15 @@ def test_bounds_period3(capsys):
     assert payload["lambda1_upper"] == pytest.approx(0.5306, abs=1e-4)
 
 
+def test_bounds_period4_has_a_local_bound(capsys):
+    code, out = run(capsys, "bounds", "--degrees", "2,3,4,5")
+    assert code == 0
+    assert "lambda_ell_lower   0.268012\n" in out
+    assert "note:" not in out
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["x0"] is None and payload["notes"] == []
+
+
 def test_bounds_subcritical_note(capsys):
     code, out = run(capsys, "bounds", "--degrees", "1,1")
     assert code == 0
@@ -216,6 +225,34 @@ def test_star_bad_input_is_a_usage_error(capsys):
         assert main(base + argv) == 1, argv
         captured = capsys.readouterr()
         assert f"usage error: {message}" in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_oracle_takes_one_mode(capsys):
+    modes = {"--star-n": "3", "--edges": "0-1", "--enumerate-degrees": "3,4"}
+    for given in (["--star-n", "--edges"], ["--star-n", "--enumerate-degrees"],
+                  ["--edges", "--enumerate-degrees"], list(modes)):
+        argv = [x for flag in given for x in (flag, modes[flag])]
+        assert main(["oracle", *argv, "--lambda", "1.0"]) == 1, given
+        captured = capsys.readouterr()
+        assert ("usage error: oracle needs exactly one of --star-n, --edges or "
+                "--enumerate-degrees\n") in captured.err, given
+        assert captured.out == "", given
+
+
+def test_star_level_and_horizon_need_their_stop(capsys):
+    base = ["star", "--n", "5", "--lambda", "0.5"]
+    for argv, message in (
+            (["--level", "3"], "--level needs --stop reach"),
+            (["--level", "3", "--horizon", "0.5"], "--level needs --stop reach"),
+            (["--stop", "horizon", "--horizon", "1", "--level", "3"],
+             "--level needs --stop reach"),
+            (["--horizon", "0.5"], "--horizon needs --stop horizon"),
+            (["--stop", "reach", "--level", "3", "--horizon", "1"],
+             "--horizon needs --stop horizon")):
+        assert main(base + argv) == 1, argv
+        captured = capsys.readouterr()
+        assert f"usage error: {message}\n" in captured.err, argv
         assert captured.out == "", argv
 
 

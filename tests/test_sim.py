@@ -153,6 +153,12 @@ def test_contact_graph_batch_rejects_unknown_root():
         contact_graph_batch({0: [1], 1: [0]}, 1.0, 5, 10)
 
 
+def test_contact_graph_batch_rejects_a_bad_lambda():
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            contact_graph_batch({0: [1], 1: [0]}, lam, 0, 10)
+
+
 @pytest.mark.parametrize("graph,message", [
     ({0: [1]}, "neighbor 1 of vertex 0 is not a vertex of the graph"),
     ({0: [1], 1: []}, "edge 0-1 is not listed at 1"),
@@ -612,6 +618,14 @@ def test_survival_curve_lambda0():
     est = survival_curve(seq(3, 4), 0.0, 50.0, 1000, seed=6)
     assert est.probability == 0.0
     assert est.ci_high < 0.01
+
+
+def test_survival_curve_checks_the_criterion_before_any_replica(monkeypatch):
+    runs = []
+    monkeypatch.setattr(sim, "run_replicas", lambda *args: runs.append(args) or [])
+    with pytest.raises(ValueError, match="unknown criterion 'loca'"):
+        survival_curve(seq(3, 4), 0.3, 10.0, 50, seed=1, criterion="loca")
+    assert runs == []
 
 
 def test_survival_curve_huge_lambda():
