@@ -90,13 +90,15 @@ def star_mean_absorption(n: int, lam: float) -> AbsorptionSolve:
     return AbsorptionSolve(n, lam, expected, residual)
 
 
-def check_graph(neighbors: dict[int, list[int]], lam: float, root: int) -> list[int]:
-    """The sorted vertices of an explicit graph, checked with the rate for the subset chains.
+def check_graph(neighbors: dict[int, list[int]], lam: float,
+                root: int) -> tuple[np.ndarray, int]:
+    """(adjacency matrix, root index) of an explicit graph, vertices sorted.
 
-    The rate must be finite and >= 0.  The graph must be simple and
-    undirected: every neighbor is a vertex, and every edge is listed once
-    from each end, with no self-loops.  The root must be a vertex, and the
-    2^|V| subsets must fit ``GRAPH_MAX_STATES``.
+    The graph is checked with the rate for the subset chains.  The rate must
+    be finite and >= 0.  The graph must be simple and undirected: every
+    neighbor is a vertex, and every edge is listed once from each end, with
+    no self-loops.  The root must be a vertex, and the 2^|V| subsets must fit
+    ``GRAPH_MAX_STATES``.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and >= 0")
@@ -114,7 +116,11 @@ def check_graph(neighbors: dict[int, list[int]], lam: float, root: int) -> list[
                 raise ValueError(f"edge {v}-{w} is listed twice at {v}")
             if v not in neighbors[w]:
                 raise ValueError(f"edge {v}-{w} is not listed at {w}")
-    return sorted(neighbors)
+    index = {v: i for i, v in enumerate(sorted(neighbors))}
+    adj = np.zeros((len(index), len(index)))
+    for v, nbrs in neighbors.items():
+        adj[index[v], [index[w] for w in nbrs]] = 1.0
+    return adj, index[root]
 
 
 def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
@@ -133,13 +139,8 @@ def exact_contact_small(neighbors: dict[int, list[int]], lam: float,
     S_l = D_l - C_l M_{l+1}; back-substitution runs up from x_0 = 0
     (linear level reduction: Gaver, Jacobs & Latouche 1984).
     """
-    verts = check_graph(neighbors, lam, root)
-    vmap = {v: i for i, v in enumerate(verts)}
-    nv = len(verts)
-    r = vmap[root]
-    adj = np.zeros((nv, nv), dtype=np.int64)
-    for v in verts:
-        adj[vmap[v], [vmap[w] for w in neighbors[v]]] = 1
+    adj, r = check_graph(neighbors, lam, root)
+    nv = len(adj)
 
     codes = np.arange(1 << nv)
     bits = codes[:, None] >> np.arange(nv) & 1        # bits[s, v]: v infected in s

@@ -17,9 +17,10 @@ active set (the rejection-free case of composition-rejection sampling).
 Random draws come from the replica's own stream in blocks.
 
 Two vectorized batch engines (star chain, explicit small graphs) serve the
-oracle cross-checks, where 1e5 replicas must finish in seconds.  They step
-integer state codes through per-state rate tables on a compact live set.
-The star engine, with its absorb, reach and horizon stops and its leaf-time
+oracle cross-checks, where 1e5 replicas must finish in seconds.  Each only
+tabulates its outcome rates and code moves per integer state code; one
+stepper, ``_run_chains``, moves the codes of a compact live set.  The star
+engine, with its absorb, reach and horizon stops and its leaf-time
 integral, is also the only star simulator behind ``pertree star``.
 """
 
@@ -94,12 +95,10 @@ class SimOutcome:
 
     def survived(self, criterion: str, horizon: float) -> bool:
         """Finite-horizon survival proxy; truncated runs count as survived."""
-        if self.truncated:
-            return True
         if criterion == "global":
-            return not self.extinct
+            return self.truncated or not self.extinct
         if criterion == "local":
-            return any(t > horizon / 2.0 for t in self.root_visit_times)
+            return self.truncated or any(t > horizon / 2.0 for t in self.root_visit_times)
         raise ValueError(f"unknown criterion {criterion!r}")
 
 
@@ -323,9 +322,88 @@ def run_brw(config: SimConfig, replica: int = 0, substream: int = 0) -> SimOutco
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch engines: a state is one integer code, rates and outcome
-# thresholds are tabulated per code with the per-replica float expressions in
-# the same order, and only live replicas, kept compact in order, are stepped.
+# Vectorized batch engines: a state is one integer code, outcome rates are
+# tabulated per code with the per-replica float expressions in the same order,
+# and one stepper moves only the live chains, kept compact in order.
+
+
+def _run_chains(engine: str, rates: np.ndarray, moves: np.ndarray, stop: np.ndarray,
+                start: int, replicas: int, seed: int, horizon: float = math.inf,
+                dwell: np.ndarray | None = None, peak: bool = False,
+                count: int | None = None) -> tuple[np.ndarray, ...]:
+    """Run ``replicas`` copies of an integer-coded chain from ``start`` to a stop.
+
+    ``rates[i, c]`` is the rate of outcome i at code c, which adds ``moves[i]``
+    to the code; the table is cumulated in place, so its last row becomes the
+    total rate.  A chain stops on a code where ``stop`` is true, or at exactly
+    ``horizon``, where the step that crosses it is not applied.  Returns the
+    stop times, then, in this order, only what is asked for: the largest code
+    visited (``peak``), the integral of ``dwell[code]`` up to the stop, and
+    the number of times outcome ``count`` was taken.  Each step draws
+    ``standard_exponential(live)`` then ``random(live)`` from ``stream(seed)``.
+    A batch still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
+    """
+    if replicas < 0:
+        raise ValueError("replicas must be >= 0")
+    for i in range(1, len(rates)):   # left to right, the order of the per-chain sums
+        rates[i] += rates[i - 1]
+    cuts, total = list(rates[:-1]), rates[-1]
+    # One more outcome, which stays put: a step that the horizon cuts off.
+    moves, stay = np.append(moves, 0), len(moves)
+    firsts = {"t": 0.0}              # per-chain quantities and their values at the start
+    if peak:
+        firsts["peak"] = start
+    if dwell is not None:
+        firsts["area"] = 0.0
+    if count is not None:
+        firsts["hits"] = 0
+    results = {key: np.full(replicas, first) for key, first in firsts.items()}
+    live = np.arange(0 if stop[start] else replicas)
+    code = np.full(live.size, start)
+    chains = {key: np.full(live.size, first) for key, first in firsts.items()}
+
+    rng = stream(seed)
+    for _ in range(BATCH_MAX_STEPS):
+        if not live.size:
+            break
+        t = chains["t"]
+        rate = total.take(code)
+        dt = rng.standard_exponential(live.size) / rate
+        u = rng.random(live.size) * rate
+        # The cuts are non-decreasing: the outcome is how many of them u passed.
+        # A cut equal to u counts as passed, so a zero-rate outcome is never taken.
+        # Summed as bytes (fewer than 256 outcomes): an in-place bool-to-int
+        # add casts, which costs more.
+        outcome = (cuts[0].take(code) <= u).view(np.uint8)
+        for row in cuts[1:]:
+            outcome += (row.take(code) <= u).view(np.uint8)
+        if horizon < math.inf:   # no clamp work on the other paths
+            over = t + dt >= horizon
+            dt[over], outcome[over] = horizon - t[over], stay
+        t += dt
+        if dwell is not None:
+            dt *= dwell.take(code)
+            chains["area"] += dt
+        if count is not None:
+            chains["hits"] += outcome == count
+        code += moves.take(outcome)
+        if peak:
+            np.maximum(chains["peak"], code, out=chains["peak"])
+        done = stop.take(code)
+        if horizon < math.inf:
+            t[over] = horizon
+            done |= over
+        if done.any():
+            # index arrays once: a boolean mask would rescan done per array
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            out = live.take(gone)
+            for key, a in chains.items():
+                results[key][out] = a.take(gone)
+            live, code = live.take(keep), code.take(keep)
+            chains = {key: a.take(keep) for key, a in chains.items()}
+    if live.size:
+        raise LimitExceeded(f"{engine} still live after {BATCH_MAX_STEPS} steps")
+    return tuple(results.values())
 
 
 def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
@@ -350,56 +428,17 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
         raise ValueError("level must be >= 1")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if n > STAR_TABLE_MAX_LEAVES:   # the per-state tables peak near 150 bytes a leaf
+    if n > STAR_TABLE_MAX_LEAVES:   # the per-state tables peak near 130 bytes a leaf
         raise TooLarge(f"star size {n} exceeds the cap {STAR_TABLE_MAX_LEAVES}")
     j, m = np.divmod(np.arange(2 * (n + 1)), 2)   # code 2j + center
-    r_up = lam * (n - j) * m
-    r_down = j.astype(float)
-    r_coff = m.astype(float)
-    r_con = lam * j * (1 - m)
-    total = r_up + r_down + r_coff + r_con
-    c2, c3 = r_up + r_down, r_up + r_down + r_coff
-    move = np.array([2, -2, -1, 1])         # up, down, center off, center on
+    # up, down, center off, center on; the ints become exact floats
+    rates = np.stack([lam * (n - j) * m, j, m, lam * j * (1 - m)])
     stop = (j + m == 0) | (j >= (level or n + 1))   # absorbed at (0, 0), or reached
-
-    rng = stream(seed)
-    times, peaks = np.zeros(replicas), np.full(replicas, init.j, dtype=np.int64)
-    leaf_time = np.zeros(replicas)
-    code = np.full(replicas, 2 * init.j + init.center)
-    live = np.flatnonzero(~stop[code])
-    code, t, peak, area = code[live], times[live], code[live], leaf_time[live]
-    for _ in range(BATCH_MAX_STEPS):
-        if not live.size:
-            break
-        rate = total.take(code)
-        dt = rng.standard_exponential(live.size) / rate
-        u = rng.random(live.size) * rate
-        # The thresholds are non-decreasing: the outcome is how many u passed.
-        step = move.take((u >= r_up.take(code)).astype(np.intp)
-                         + (u >= c2.take(code)) + (u >= c3.take(code)))
-        if horizon < math.inf:   # no clamp work on the absorb and reach paths
-            over = t + dt >= horizon
-            dt[over], step[over] = horizon - t[over], 0
-        t += dt
-        dt *= r_down.take(code)             # r_down is j as a float
-        area += dt
-        code += step
-        np.maximum(peak, code, out=peak)
-        done = stop.take(code)
-        if horizon < math.inf:
-            t[over] = horizon
-            done |= over
-        if done.any():
-            # index arrays once: a boolean mask would rescan done per array
-            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
-            out = live.take(gone)
-            times[out], peaks[out] = t.take(gone), peak.take(gone) >> 1  # max code, max j
-            leaf_time[out] = area.take(gone)
-            live, code, t, peak, area = (a.take(keep) for a in
-                                         (live, code, t, peak, area))
-    if live.size:
-        raise LimitExceeded(f"star batch still live after {BATCH_MAX_STEPS} steps")
-    return times, peaks, leaf_time
+    del m
+    times, peak, leaf_time = _run_chains(
+        "star batch", rates, np.array([2, -2, -1, 1]), stop, 2 * init.j + init.center,
+        replicas, seed, horizon, dwell=j.astype(float), peak=True)
+    return times, peak >> 1, leaf_time          # max code, max j
 
 
 def star_batch(n: int, lam: float, init: StarState, replicas: int,
@@ -412,48 +451,21 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
                         replicas: int, seed: int = 0):
     """Vectorized contact process on a small explicit graph, run to extinction.
 
-    Returns (extinction_times, root_reinfection_counts).  Used to cross-check
-    the event engine against the exact subset-chain oracle at scale.  A batch
-    still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
+    Returns (extinction_times, root_reinfection_counts).  Checked against the
+    exact subset-chain oracle (``oracle.exact_contact_small``) at scale.  A
+    batch still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
     """
-    verts = check_graph(neighbors, lam, root)
-    vmap = {v: i for i, v in enumerate(verts)}
-    nv = len(verts)
-    adj = np.zeros((nv, nv))
-    for v, nbrs in neighbors.items():
-        for w in nbrs:
-            adj[vmap[v], vmap[w]] = 1.0
-    r = vmap[root]
-
-    # Code s is the infected-subset bitmask.  Outcome col < nv recovers
-    # vertex col and col >= nv infects vertex col - nv: both flip bit col % nv.
-    s = (np.arange(1 << nv)[:, None] >> np.arange(nv) & 1).astype(bool)
-    recover = s.astype(float)
-    rates = np.concatenate([recover, lam * (recover @ adj) * ~s], axis=1)
-    total, thr = rates.sum(axis=1), np.cumsum(rates, axis=1)
-
-    rng = stream(seed)
-    live, code = np.arange(replicas), np.full(replicas, 1 << r)
-    t, visits = np.zeros(replicas), np.zeros(replicas, dtype=np.int64)
-    times, visit_counts = t.copy(), visits.copy()
-    for _ in range(BATCH_MAX_STEPS):
-        if not live.size:
-            break
-        rate = total[code]
-        t += rng.standard_exponential(live.size) / rate
-        u = rng.random(live.size) * rate
-        col = (thr[code] < u[:, None]).sum(axis=1)
-        code ^= 1 << col % nv
-        visits += col == nv + r
-        done = code == 0
-        if done.any():
-            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
-            out = live.take(gone)
-            times[out], visit_counts[out] = t.take(gone), visits.take(gone)
-            live, code, t, visits = (a.take(keep) for a in (live, code, t, visits))
-    if live.size:
-        raise LimitExceeded(f"graph batch still live after {BATCH_MAX_STEPS} steps")
-    return times, visit_counts
+    adj, r = check_graph(neighbors, lam, root)
+    nv = len(adj)
+    # Code s is the infected-subset bitmask.  Outcome v < nv recovers vertex v
+    # and outcome nv + v infects it: moves of -2^v and +2^v, taken only at a
+    # positive rate, so while v is infected and healthy respectively.
+    codes = np.arange(1 << nv)
+    infected = (codes >> np.arange(nv)[:, None] & 1).astype(float)
+    rates = np.concatenate([infected, lam * (adj @ infected) * (1 - infected)])
+    bits = 1 << np.arange(nv)
+    return _run_chains("graph batch", rates, np.concatenate([-bits, bits]), codes == 0,
+                       1 << r, replicas, seed, count=nv + r)
 
 
 # ---------------------------------------------------------------------------

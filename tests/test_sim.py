@@ -175,6 +175,55 @@ def test_bad_graph_is_rejected_by_both_chains(solve, graph, message):
         solve(graph)
 
 
+@pytest.mark.parametrize("run", [
+    lambda replicas: star_runs(5, 0.5, StarState(5, 0, 1), replicas),
+    lambda replicas: contact_graph_batch({0: [1], 1: [0]}, 1.0, 0, replicas),
+], ids=["star", "graph"])
+def test_batch_engines_reject_negative_replicas(run):
+    with pytest.raises(ValueError, match="replicas must be >= 0"):
+        run(-3)
+    assert all(a.shape == (0,) for a in run(0))
+
+
+class _TieStream:
+    """Stands in for ``sim.stream``: every exponential is 1.0 and every uniform 0.0."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, seed):
+        self.calls += 1
+        return self
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_batch_engines_never_take_a_zero_rate_outcome(monkeypatch):
+    # A uniform of 0.0 lands on every leading cut of zero width; the outcome
+    # taken must be the first one with a positive rate.
+    tie = _TieStream()
+    monkeypatch.setattr(sim, "stream", tie)
+    path = {0: [1], 1: [0, 2], 2: [1]}
+    # from {1}: recovering 0 has rate 0, recovering 1 rate 1, total 1 + 2 * 0.5
+    times, visits = contact_graph_batch(path, 0.5, 1, 50)
+    assert (times == 0.5).all() and not visits.any()
+    assert tie.calls == 1
+    # center on, no leaf: the up move is the first outcome and has rate lam * n
+    times, peaks, _ = star_runs(4, 0.5, StarState(4, 0, 1), 50, horizon=0.5)
+    assert (times == 0.5).all() and (peaks == 1).all()
+    assert tie.calls == 2
+    # every leaf infected: the up move has rate 0, so the first step goes
+    # down to 3 leaves at t = 1/5 and the second crosses the horizon
+    times, peaks, leaf_time = star_runs(4, 0.5, StarState(4, 4, 1), 50, horizon=0.3)
+    assert (times == 0.3).all() and (peaks == 4).all()
+    assert np.allclose(leaf_time, 4 * 0.2 + 3 * 0.1)
+    assert tie.calls == 3
+
+
 def test_star_runs_step_budget(monkeypatch):
     monkeypatch.setattr(sim, "BATCH_MAX_STEPS", 100)
     with pytest.raises(LimitExceeded):
@@ -450,6 +499,14 @@ def test_truncation_flags():
     c2 = config(mode="brw", lam=5.0, horizon=50.0, brw_population_cap=50)
     out2 = run_brw(c2)
     assert out2.truncated and out2.truncation_reason == "population_cap"
+
+
+def test_survived_checks_the_criterion_before_truncation():
+    out = run_contact(config(lam=5.0, horizon=50.0, max_events=200))
+    assert out.truncated
+    assert out.survived("global", 50.0) and out.survived("local", 50.0)
+    with pytest.raises(ValueError, match="unknown criterion 'bogus'"):
+        out.survived("bogus", 50.0)
 
 
 def test_vertex_cap_truncation():
