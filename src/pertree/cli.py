@@ -30,9 +30,11 @@ from .degrees import PeriodicDegreeSequence
 from .errors import CapacityError, NumericalError
 from .oracle import enumerate_closed_walks, exact_contact_small, star_mean_absorption
 from .sim import (
+    CRITERIA,
     DEFAULT_BRW_POP_CAP,
     DEFAULT_MAX_EVENTS,
     DEFAULT_MAX_VERTICES,
+    MODES,
     SimConfig,
     StarState,
     run_replicas,
@@ -337,7 +339,7 @@ def _add_run_flags(sub, *, replicas: int) -> None:
     sub.add_argument("--horizon", type=float)
     sub.add_argument("--replicas", type=int, default=replicas)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--mode", choices=["contact", "brw"], default="contact")
+    sub.add_argument("--mode", choices=MODES, default="contact")
     sub.add_argument("--root-residue", type=int, default=0)
     sub.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
     sub.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
@@ -411,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--degrees")
     p.add_argument("--lambda-grid", help="start:stop:step")
     _add_run_flags(p, replicas=100)
-    p.add_argument("--criterion", choices=["global", "local"], default="global")
+    p.add_argument("--criterion", choices=CRITERIA, default="global")
     _add_common(p, "degrees", "lambda_grid", "horizon")
     p.set_defaults(func=cmd_sweep)
 

@@ -22,7 +22,8 @@ class CapacityExceeded(CapacityError):
 
 
 class NonConvergence(NumericalError):
-    """The Perron eigenvalue disagrees with its closed form."""
+    """The Perron eigenvalue disagrees with its closed form, or the
+    transfer-matrix trace overflows a double."""
 
 
 class Subcritical(NumericalError):
@@ -54,7 +55,9 @@ class SolveFailure(NumericalError):
 
 
 class TooLarge(CapacityError):
-    """Graph too large for the exact subset-chain oracle."""
+    """Graph too large for the exact subset-chain oracle, or a star too large
+    for its oracle or its batch tables (``STAR_MAX_LEAVES``,
+    ``STAR_TABLE_MAX_LEAVES``)."""
 
 
 class BracketFailure(NumericalError):

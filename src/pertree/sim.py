@@ -7,8 +7,9 @@ and transmissions pick a uniform incident edge.  The two differ only in the
 occupancy rule: a contact transmission onto an occupied vertex is a no-op,
 which keeps the chain exact without boundary-rate bookkeeping, while a
 branching random walk stacks particles.  ``run_contact`` and ``run_brw``
-are thin wrappers around that loop, which appends a first-touched child to
-the arena's flat tables inline and has the arena grow the spine.
+are two names of that one function, which reads the process from
+``config.mode``; it appends a first-touched child to the arena's flat
+tables inline and has the arena grow the spine.
 
 A vertex's degree depends only on its height residue, so the k residue
 classes of the period share k rates.  Each event draws a class by its total
@@ -29,6 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -38,14 +40,15 @@ from .degrees import PeriodicDegreeSequence
 from .errors import BracketFailure, CapacityExceeded, LimitExceeded, TooLarge
 from .oracle import check_graph
 from .rng import stream
-from .tree import TreeArena
+from .tree import DEFAULT_MAX_VERTICES, TreeArena
 
 DEFAULT_MAX_EVENTS = 1_000_000
-DEFAULT_MAX_VERTICES = 500_000
 DEFAULT_BRW_POP_CAP = 1_000_000
 STAR_TABLE_MAX_LEAVES = 1_000_000
 BATCH_MAX_STEPS = 1_000_000
 WILSON_Z = 1.96
+MODES = ("contact", "brw")          # the tree processes
+CRITERIA = ("global", "local")      # the survival readings of a replica
 # Replica batches this large run on every worker.  A fork pool of two costs
 # 10-70 ms to start and stop (2-vCPU VM).  64 replicas of a (3,4) contact or
 # BRW point near threshold take 0.2-0.25 s serially and run 1.3-1.9x faster
@@ -68,19 +71,30 @@ class SimConfig:
     max_vertices: int = DEFAULT_MAX_VERTICES
     seed: int = 0
     replicas: int = 1
-    mode: str = "contact"          # "contact" | "brw"
+    mode: str = "contact"          # one of MODES
     brw_population_cap: int = DEFAULT_BRW_POP_CAP
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lambda must be finite and >= 0")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        if (self.replicas < 1 or self.max_events < 1 or self.max_vertices < 1
-                or self.brw_population_cap < 1):
-            raise ValueError("replicas and caps must be >= 1")
-        if self.mode not in ("contact", "brw"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _check_run(self, self.root_residue)
+
+
+def _check_run(spec, root_residue: int = 0) -> None:
+    """The run rules of a ``SimConfig`` or a ``Lambda2Protocol``: its horizon,
+    integer replicas, seed, caps and root residue, and its mode."""
+    if not spec.horizon > 0:
+        raise ValueError("horizon must be positive")
+    counts = (spec.replicas, spec.max_events, spec.max_vertices, spec.brw_population_cap)
+    try:   # numpy ints pass, floats do not
+        counts = [operator.index(x) for x in counts]
+        operator.index(spec.seed), operator.index(root_residue)
+    except TypeError:
+        raise ValueError("replicas, caps, seed and root residue must be integers") from None
+    if min(counts) < 1:
+        raise ValueError("replicas and caps must be >= 1")
+    if spec.mode not in MODES:
+        raise ValueError(f"unknown mode {spec.mode!r}")
 
 
 @dataclass
@@ -186,14 +200,17 @@ def _audit_contact(arena: TreeArena, members: list[list[int]],
     assert math.isclose(total, scratch, rel_tol=1e-12)
 
 
-def _run_tree(config: SimConfig, replica: int, substream: int, exclusive: bool,
+def _run_tree(config: SimConfig, replica: int = 0, substream: int = 0,
               audit: bool = False) -> SimOutcome:
-    """One trajectory from a single site at the root.
+    """One trajectory of the process ``config.mode`` from a single site at the root.
 
-    ``exclusive`` is the contact process: a vertex holds at most one site and
-    a transmission onto an occupied vertex is a no-op.  Otherwise every birth
-    adds a particle (branching random walk).
+    In the contact process a vertex holds at most one site and a transmission
+    onto an occupied vertex is a no-op.  In the branching random walk every
+    birth adds a particle.  ``run_contact`` and ``run_brw`` both name this
+    function, so either runs the process of the config's mode.  ``audit``
+    checks the class lists and the total rate after every event.
     """
+    exclusive = config.mode == "contact"
     rng = stream(config.seed, replica, substream)
     arena = TreeArena(config.degrees, config.root_residue, config.max_vertices)
     heights, parents, children = arena.heights, arena.parents, arena.children
@@ -310,15 +327,8 @@ def _run_tree(config: SimConfig, replica: int, substream: int, exclusive: bool,
                       trunc is not None, trunc)
 
 
-def run_contact(config: SimConfig, replica: int = 0, substream: int = 0,
-                audit: bool = False) -> SimOutcome:
-    """One exact contact-process trajectory started from the infected root."""
-    return _run_tree(config, replica, substream, True, audit)
-
-
-def run_brw(config: SimConfig, replica: int = 0, substream: int = 0) -> SimOutcome:
-    """One branching-random-walk trajectory started from one particle at the root."""
-    return _run_tree(config, replica, substream, False)
+# One engine under two names, which ``perfbench/spans.py`` traces one by one.
+run_contact = run_brw = _run_tree
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +416,16 @@ def _run_chains(engine: str, rates: np.ndarray, moves: np.ndarray, stop: np.ndar
     return tuple(results.values())
 
 
-def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
-              level: int | None = None, horizon: float = math.inf
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (infected leaves, center) chains run to a stop.
+# The code moves of the star's outcomes: up, down, center off, center on.
+_STAR_MOVES = np.array([2, -2, -1, 1])
 
-    Transitions: j -> j+1 at rate lam*(n-j) while the center is infected,
-    j -> j-1 at rate j, center 1 -> 0 at rate 1, center 0 -> 1 at rate lam*j.
-    A replica stops on absorption at (0,0), on j >= ``level`` when a level is
-    given, or at exactly ``horizon``, where the step that crosses it is not
-    applied.  Returns (stop_times, peak_leaf_counts, leaf_times), the last
-    being the integral of j up to the stop.  One counter-based generator
-    drives the whole batch; the result is deterministic in the arguments.
-    A batch still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
+
+def _star_chain(n: int, lam: float, init: StarState, level: int | None,
+                horizon: float) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Check a star run's arguments and tabulate its chain.
+
+    Returns the outcome rates and the stop table per code 2j + center, the
+    start code, and j per code.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and >= 0")
@@ -434,17 +441,41 @@ def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
     # up, down, center off, center on; the ints become exact floats
     rates = np.stack([lam * (n - j) * m, j, m, lam * j * (1 - m)])
     stop = (j + m == 0) | (j >= (level or n + 1))   # absorbed at (0, 0), or reached
-    del m
+    return rates, stop, 2 * init.j + init.center, j
+
+
+def star_runs(n: int, lam: float, init: StarState, replicas: int, seed: int = 0,
+              level: int | None = None, horizon: float = math.inf
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized (infected leaves, center) chains run to a stop.
+
+    Transitions: j -> j+1 at rate lam*(n-j) while the center is infected,
+    j -> j-1 at rate j, center 1 -> 0 at rate 1, center 0 -> 1 at rate lam*j.
+    A replica stops on absorption at (0,0), on j >= ``level`` when a level is
+    given, or at exactly ``horizon``, where the step that crosses it is not
+    applied.  Returns (stop_times, peak_leaf_counts, leaf_times), the last
+    being the integral of j up to the stop.  One counter-based generator
+    drives the whole batch; the result is deterministic in the arguments.
+    A batch still live after ``BATCH_MAX_STEPS`` steps raises ``LimitExceeded``.
+    """
+    rates, stop, start, j = _star_chain(n, lam, init, level, horizon)
     times, peak, leaf_time = _run_chains(
-        "star batch", rates, np.array([2, -2, -1, 1]), stop, 2 * init.j + init.center,
-        replicas, seed, horizon, dwell=j.astype(float), peak=True)
+        "star batch", rates, _STAR_MOVES, stop, start, replicas, seed, horizon,
+        dwell=j.astype(float), peak=True)
     return times, peak >> 1, leaf_time          # max code, max j
 
 
 def star_batch(n: int, lam: float, init: StarState, replicas: int,
                seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized star chains run to absorption: (absorption_times, peak_leaf_counts)."""
-    return star_runs(n, lam, init, replicas, seed)[:2]
+    """Vectorized star chains run to absorption: (absorption_times, peak_leaf_counts).
+
+    The same chains as ``star_runs`` with its default stops, without the
+    leaf-time integral.
+    """
+    rates, stop, start, _ = _star_chain(n, lam, init, None, math.inf)
+    times, peak = _run_chains("star batch", rates, _STAR_MOVES, stop, start,
+                              replicas, seed, peak=True)
+    return times, peak >> 1
 
 
 def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
@@ -548,7 +579,7 @@ def survival_curve(seq: PeriodicDegreeSequence, lam: float, horizon: float,
     Replica i draws from the stream keyed (seed, i, substream); truncated
     replicas count as survived (optimistic labeling, by design).
     """
-    if criterion not in ("global", "local"):
+    if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     config = SimConfig(seq, lam, horizon, root_residue, max_events,
                        max_vertices, seed, replicas, mode, brw_population_cap)
@@ -580,14 +611,9 @@ class Lambda2Protocol:
             raise ValueError("tolerance must be finite and positive")
         if not 0 < self.target_probability <= 1:
             raise ValueError("target probability must be in (0, 1]")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        if self.criterion not in ("global", "local"):
+        if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.mode not in ("contact", "brw"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _check_run(self)
 
 
 def estimate_lambda2(seq: PeriodicDegreeSequence,

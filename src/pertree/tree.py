@@ -23,6 +23,8 @@ from __future__ import annotations
 from .degrees import PeriodicDegreeSequence
 from .errors import CapacityExceeded
 
+DEFAULT_MAX_VERTICES = 500_000
+
 
 class TreeArena:
     """Growable store of vertices for one periodic tree.
@@ -34,7 +36,7 @@ class TreeArena:
     """
 
     def __init__(self, degree_seq: PeriodicDegreeSequence, root_residue: int = 0,
-                 max_vertices: int = 1_000_000):
+                 max_vertices: int = DEFAULT_MAX_VERTICES):
         self.degree_seq = degree_seq
         self.root_residue = root_residue % degree_seq.period
         self.max_vertices = max_vertices

@@ -521,6 +521,15 @@ def _subcommands(parser):
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def test_mode_and_criterion_choices_are_the_engines():
+    def choices(name, dest):
+        return next(tuple(a.choices) for a in _subcommands(cli.build_parser())[name]._actions
+                    if a.dest == dest)
+
+    assert choices("simulate", "mode") == choices("sweep", "mode") == sim.MODES
+    assert choices("sweep", "criterion") == sim.CRITERIA
+
+
 def _flag_values(action):
     """Two command-line strings for an option; the first differs from its default."""
     typed = action.type or str

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import inspect
 import math
 import os
 
@@ -55,6 +56,14 @@ def test_contact_deterministic():
 def test_brw_deterministic():
     c = config(mode="brw", seed=42, brw_population_cap=500)
     assert run_brw(c, replica=0) == run_brw(c, replica=0)
+
+
+@pytest.mark.parametrize("mode", ["contact", "brw"])
+def test_both_engine_names_run_the_mode_of_the_config(mode):
+    assert run_contact is run_brw
+    c = config(mode=mode, lam=0.4, seed=21, max_events=3000, brw_population_cap=500)
+    for replica in range(3):
+        assert repr(run_contact(c, replica)) == repr(run_brw(c, replica))
 
 
 def test_star_deterministic():
@@ -121,6 +130,19 @@ def test_star_batch_empty_batch():
     times, peaks = star_batch(5, 0.5, StarState(5, 0, 1), 0)
     assert times.shape == peaks.shape == (0,)
     assert times.dtype == np.float64 and peaks.dtype == np.int64
+
+
+def test_star_batch_asks_for_no_leaf_time_integral(monkeypatch):
+    calls = []
+    run_chains = sim._run_chains
+
+    def recording(*args, **kwargs):
+        calls.append(inspect.signature(run_chains).bind(*args, **kwargs).arguments)
+        return run_chains(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_run_chains", recording)
+    star_batch(5, 0.5, StarState(5, 0, 1), 50, seed=3)
+    assert len(calls) == 1 and "dwell" not in calls[0]
 
 
 @pytest.mark.parametrize("fixture,horizon,seed,digest", GRAPH_GOLDEN)
@@ -851,6 +873,23 @@ def test_lambda2_protocol_rejects_bad_field(field, values):
                                "replicas": 10, "seed": 1, field: value})
 
 
+@pytest.mark.parametrize("field", ["max_events", "max_vertices", "brw_population_cap"])
+def test_lambda2_protocol_rejects_a_cap_below_one(field):
+    with pytest.raises(ValueError, match="caps must be >= 1"):
+        Lambda2Protocol(lam_lo=0.1, lam_hi=0.5, horizon=10.0, replicas=10, seed=1,
+                        **{field: 0})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("replicas", 2.5), ("seed", 1.5), ("max_events", 100.0),
+    ("max_vertices", 1e3), ("brw_population_cap", 50.5),
+])
+def test_lambda2_protocol_rejects_a_non_integer_field(field, value):
+    with pytest.raises(ValueError, match="must be integers"):
+        Lambda2Protocol(**{"lam_lo": 0.1, "lam_hi": 0.5, "horizon": 10.0,
+                           "replicas": 10, "seed": 1, field: value})
+
+
 def test_estimate_lambda2_small_instance():
     proto = Lambda2Protocol(lam_lo=0.05, lam_hi=0.9, horizon=20.0,
                             replicas=100, seed=12, tolerance=0.1,
@@ -885,6 +924,21 @@ def test_config_validation():
     for cap in (0, -3):   # a cap of 0 truncated every first birth
         with pytest.raises(ValueError, match="caps must be >= 1"):
             config(mode="brw", brw_population_cap=cap)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("root_residue", 1.5), ("replicas", 2.5), ("seed", 1.5), ("max_events", 100.0),
+    ("max_vertices", 1e3), ("brw_population_cap", 50.5),
+])
+def test_config_rejects_a_non_integer_field(field, value):
+    with pytest.raises(ValueError, match="must be integers"):
+        config(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    ints = dict(root_residue=1, seed=21, replicas=2, max_events=3000)
+    numpy_ints = {key: np.int64(value) for key, value in ints.items()}
+    assert run_replicas(config(**numpy_ints)) == run_replicas(config(**ints))
 
 
 def test_config_rejects_negative_lambda():

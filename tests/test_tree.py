@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pertree import sim
 from pertree.degrees import PeriodicDegreeSequence, degree_at
 from pertree.errors import CapacityExceeded
 from pertree.tree import TreeArena
@@ -155,6 +156,10 @@ def test_capacity_exceeded_is_explicit():
     arena2.materialize_parent(arena2.root)
     with pytest.raises(CapacityExceeded):
         arena2.materialize_parent(arena2.spine_bottom)
+
+
+def test_default_vertex_cap_is_the_engines():
+    assert TreeArena(PeriodicDegreeSequence((3, 4))).max_vertices == sim.DEFAULT_MAX_VERTICES
 
 
 def test_neighbor_slots():
