@@ -261,13 +261,6 @@ def cmd_simulate(args) -> int:
 def cmd_star(args) -> int:
     if args.replicas < 1:
         raise ValueError("replicas must be >= 1")
-    for dest, stop in (("level", "reach"), ("horizon", "horizon")):
-        if getattr(args, dest) is not None and args.stop != stop:
-            raise ValueError(f"--{dest} needs --stop {stop}")
-    if args.stop == "reach" and args.level is None:
-        raise ValueError("stop='reach' needs a level")
-    if args.stop == "horizon" and not (args.horizon is not None and args.horizon > 0):
-        raise ValueError("stop='horizon' needs a positive horizon")
     horizon = math.inf if args.horizon is None else args.horizon
     init = StarState(args.n, args.j, args.center)
     runs = star_runs(args.n, args.lam, init, args.replicas, args.seed, args.level, horizon)
@@ -400,10 +393,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--center", type=int, default=1)
-    p.add_argument("--stop", choices=["absorb", "reach", "horizon"],
-                   default="absorb")
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=None)
+    p.add_argument("--level", type=int, help="stop a chain at this many infected leaves")
+    p.add_argument("--horizon", type=float, help="stop a chain at this time")
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, "n", "lam")

@@ -124,7 +124,8 @@ class StarState:
 
     def __post_init__(self):
         if not 0 <= self.j <= self.n or self.center not in (0, 1):
-            raise ValueError("invalid star state")
+            raise ValueError(f"invalid star state n={self.n}, j={self.j}, center={self.center}:"
+                             " needs 0 <= j <= n and center 0 or 1")
 
 
 @dataclass
@@ -503,9 +504,9 @@ def contact_graph_batch(neighbors: dict[int, list[int]], lam: float, root: int,
 # Replica orchestration, survival curves, threshold bisection
 
 
-def _replica_chunk(config: SimConfig, indices: range, substream: int):
+def _replica(config: SimConfig, replica: int, substream: int) -> SimOutcome:
     runner = run_contact if config.mode == "contact" else run_brw
-    return [runner(config, replica=i, substream=substream) for i in indices]
+    return runner(config, replica=replica, substream=substream)
 
 
 def usable_cpus() -> int:
@@ -546,7 +547,7 @@ def run_replicas(config: SimConfig, substream: int = 0,
     workers = worker_count()
     n = len(indices)
     if workers == 1 or n < POOL_MIN_REPLICAS:
-        return _replica_chunk(config, indices, substream)
+        return [_replica(config, i, substream) for i in indices]
     import multiprocessing
     import sys
     from concurrent.futures import ProcessPoolExecutor
@@ -560,11 +561,9 @@ def run_replicas(config: SimConfig, substream: int = 0,
     # Contiguous chunks, several per worker: one capped replica can cost as
     # much as hundreds of quick deaths, so equal shares would not balance.
     size = -(-n // (CHUNKS_PER_WORKER * workers))
-    chunks = [indices[i:i + size] for i in range(0, n, size)]
-    with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=context) as pool:
-        parts = pool.map(_replica_chunk, itertools.repeat(config), chunks,
-                         itertools.repeat(substream))
-        return [outcome for part in parts for outcome in part]
+    with ProcessPoolExecutor(min(workers, -(-n // size)), mp_context=context) as pool:
+        return list(pool.map(_replica, itertools.repeat(config), indices,
+                             itertools.repeat(substream), chunksize=size))
 
 
 def survival_curve(seq: PeriodicDegreeSequence, lam: float, horizon: float,
@@ -613,6 +612,9 @@ class Lambda2Protocol:
             raise ValueError("target probability must be in (0, 1]")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
+        # An upper bracket below the lower one is a BracketFailure of estimate_lambda2.
+        if not all(math.isfinite(x) and x >= 0 for x in (self.lam_lo, self.lam_hi)):
+            raise ValueError("lambda brackets must be finite and >= 0")
         _check_run(self)
 
 

@@ -137,6 +137,14 @@ def test_oracle_enumerate(capsys):
     assert payload["count"] == 304
 
 
+def test_oracle_enumerate_rejects_an_odd_or_negative_length(capsys):
+    for two_n in ("3", "-2"):
+        assert main(["oracle", "--enumerate-degrees", "3,4", "--two-n", two_n]) == 1, two_n
+        captured = capsys.readouterr()
+        assert "usage error: walk length must be even and nonnegative" in captured.err
+        assert captured.out == "", two_n
+
+
 def test_simulate_stdout(capsys):
     code, out = run(capsys, "simulate", "--degrees", "3,4", "--lambda", "0",
                     "--horizon", "10", "--replicas", "5", "--seed", "7")
@@ -191,7 +199,7 @@ def test_star_csv(capsys):
     ("horizon", ["--horizon", "1.0", "--j", "2"], {"horizon", "absorb"}),
 ])
 def test_star_stop_rules(capsys, stop, extra, hits):
-    code, out = run(capsys, "star", "--n", "5", "--lambda", "0.5", "--stop", stop,
+    code, out = run(capsys, "star", "--n", "5", "--lambda", "0.5",
                     "--replicas", "200", "--seed", "2", *extra)
     assert code == 0
     lines = out.strip().splitlines()
@@ -205,7 +213,7 @@ def test_star_stop_rules(capsys, stop, extra, hits):
             assert int(peak) >= 4
         if stop == "horizon":
             assert float(t) <= 1.0 and (hit == "horizon") == (float(t) == 1.0)
-    code, again = run(capsys, "star", "--n", "5", "--lambda", "0.5", "--stop", stop,
+    code, again = run(capsys, "star", "--n", "5", "--lambda", "0.5",
                       "--replicas", "200", "--seed", "2", *extra)
     assert again == out
 
@@ -218,10 +226,11 @@ def test_star_bad_input_is_a_usage_error(capsys):
             (["--lambda", "inf"], "lambda must be finite and >= 0"),
             (["--lambda", "0.5", "--replicas", "-3"], "replicas must be >= 1"),
             (["--lambda", "0.5", "--replicas", "0"], "replicas must be >= 1"),
-            (["--lambda", "0.5", "--stop", "reach", "--level", "-2"], "level must be >= 1"),
-            (["--lambda", "0.5", "--stop", "reach"], "stop='reach' needs a level"),
-            (["--lambda", "0.5", "--stop", "horizon"],
-             "stop='horizon' needs a positive horizon")):
+            (["--lambda", "0.5", "--level", "-2"], "level must be >= 1"),
+            (["--lambda", "0.5", "--j", "6"], "invalid star state n=5, j=6, center=1: "
+             "needs 0 <= j <= n and center 0 or 1"),
+            (["--lambda", "0.5", "--center", "2"], "invalid star state n=5, j=0, center=2: "
+             "needs 0 <= j <= n and center 0 or 1")):
         assert main(base + argv) == 1, argv
         captured = capsys.readouterr()
         assert f"usage error: {message}" in captured.err, argv
@@ -240,20 +249,30 @@ def test_oracle_takes_one_mode(capsys):
         assert captured.out == "", given
 
 
-def test_star_level_and_horizon_need_their_stop(capsys):
-    base = ["star", "--n", "5", "--lambda", "0.5"]
-    for argv, message in (
-            (["--level", "3"], "--level needs --stop reach"),
-            (["--level", "3", "--horizon", "0.5"], "--level needs --stop reach"),
-            (["--stop", "horizon", "--horizon", "1", "--level", "3"],
-             "--level needs --stop reach"),
-            (["--horizon", "0.5"], "--horizon needs --stop horizon"),
-            (["--stop", "reach", "--level", "3", "--horizon", "1"],
-             "--horizon needs --stop horizon")):
-        assert main(base + argv) == 1, argv
-        captured = capsys.readouterr()
-        assert f"usage error: {message}\n" in captured.err, argv
-        assert captured.out == "", argv
+def test_star_level_and_horizon_stop_at_the_first(capsys):
+    code, out = run(capsys, "star", "--n", "5", "--lambda", "0.5", "--level", "4",
+                    "--horizon", "1.0", "--replicas", "2000", "--seed", "3")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 2000
+    assert {r[1] for r in rows} == {"absorb", "horizon", "reach"}
+    for _, hit, t, peak, _ in rows:
+        assert float(t) <= 1.0
+        assert (hit == "horizon") == (float(t) == 1.0)
+        assert (hit == "reach") == (int(peak) >= 4)
+
+
+def test_star_stop_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["star", "--n", "5", "--lambda", "0.5", "--stop", "reach", "--level", "4"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --stop" in captured.err
+    assert captured.out == ""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 5, "lambda": 0.5, "stop": "reach", "level": 4}))
+    assert main(["star", "--config", str(cfg)]) == 1
+    assert "usage error: config: unknown key 'stop'" in capsys.readouterr().err
 
 
 def test_oracle_bad_lambda_is_a_usage_error(capsys):
@@ -336,6 +355,28 @@ def test_config_keys_are_dests_or_flags(tmp_path, capsys):
         assert f"usage error: config: unknown key {typo!r}" in capsys.readouterr().err
 
 
+def test_config_null_falls_back_to_the_flag_default(tmp_path, capsys):
+    argv = ["simulate", "--degrees", "3,4", "--lambda", "0.5", "--horizon", "5",
+            "--replicas", "3"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": None}))
+    code, out = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["seed"] == 0
+    assert run(capsys, *argv, "--seed", "0") == (0, out)
+
+
+def test_bad_choice_on_the_command_line_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--degrees", "3,4", "--lambda-grid", "0.1:0.1:0.1",
+              "--horizon", "5", "--mode", "sir"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: pertree sweep")
+    assert "error: argument --mode: invalid choice: 'sir'" in captured.err
+    assert captured.out == ""
+
+
 def test_config_must_be_a_json_object(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     for loaded in ([1, 2], "lam", 3, None):
@@ -357,10 +398,9 @@ def test_missing_parameters_are_named_by_flag(tmp_path, capsys):
 
 def test_star_bad_horizon_is_a_usage_error(capsys):
     for horizon in ("-1", "0", "nan"):
-        assert main(["star", "--n", "5", "--lambda", "0.5", "--stop", "horizon",
+        assert main(["star", "--n", "5", "--lambda", "0.5",
                      "--horizon", horizon]) == 1, horizon
-        assert "usage error: stop='horizon' needs a positive horizon" \
-            in capsys.readouterr().err
+        assert "usage error: horizon must be positive" in capsys.readouterr().err
 
 
 def test_usage_exit_codes(capsys):

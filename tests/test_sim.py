@@ -873,6 +873,15 @@ def test_lambda2_protocol_rejects_bad_field(field, values):
                                "replicas": 10, "seed": 1, field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lam_lo", -0.1), ("lam_lo", math.nan), ("lam_hi", math.inf), ("lam_hi", math.nan),
+])
+def test_lambda2_protocol_rejects_a_bad_bracket(field, value):
+    with pytest.raises(ValueError, match="lambda brackets must be finite and >= 0"):
+        Lambda2Protocol(**{"lam_lo": 0.1, "lam_hi": 0.5, "horizon": 10.0,
+                           "replicas": 10, "seed": 1, field: value})
+
+
 @pytest.mark.parametrize("field", ["max_events", "max_vertices", "brw_population_cap"])
 def test_lambda2_protocol_rejects_a_cap_below_one(field):
     with pytest.raises(ValueError, match="caps must be >= 1"):
